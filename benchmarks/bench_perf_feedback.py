@@ -59,7 +59,7 @@ RESULT_PATH = (
 
 def _perf_engine(assignment) -> FeedbackEngine:
     return FeedbackEngine(
-        assignment, perf_analyzer=PerfAnalyzer(assignment)
+        assignment, channels=[PerfAnalyzer(assignment)]
     )
 
 

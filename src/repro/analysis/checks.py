@@ -342,7 +342,7 @@ def check_by_id(check_id: str) -> Check:
 def analysis_fingerprint() -> str:
     """Stable digest input describing the active check set.
 
-    Folded into :func:`repro.core.store.kb_fingerprint` so persisted
+    Folded into :func:`repro.core.storage.kb_fingerprint` so persisted
     reports graded under a different check set read as cache misses
     (they would be missing — or carrying stale — diagnostics).
     """

@@ -36,6 +36,8 @@ timings.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Mapping
+
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.perf.model import (
     COST_SHAPE_MISMATCH,
@@ -43,6 +45,7 @@ from repro.analysis.perf.model import (
     CostShape,
     PerfSpec,
     get_perf_pattern,
+    perf_analysis_fingerprint,
 )
 from repro.analysis.perf.shape import ShapeFit, fit_shape
 from repro.analysis.perf.static import (
@@ -58,6 +61,10 @@ from repro.java import ast
 from repro.patterns.template import render_feedback
 from repro.testing.functional import run_tests
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.matching.submission import MatchOutcome
+    from repro.pdg.graph import Epdg
+
 #: Step budget for one probe run — deliberately far below the grading
 #: budget: the probe ladder uses small inputs, so anything that blows
 #: this is either non-terminating (first blown probe skips the rest)
@@ -66,7 +73,13 @@ DEFAULT_PROBE_BUDGET = 50_000
 
 
 class PerfAnalyzer:
-    """Per-assignment performance analyzer (one instance per engine)."""
+    """Per-assignment performance analyzer (one instance per engine).
+
+    A :class:`~repro.core.profile.Channel`: findings go to the report's
+    ``perf`` field, for correct and rejected submissions alike.
+    """
+
+    name = "perf"
 
     def __init__(
         self,
@@ -77,6 +90,26 @@ class PerfAnalyzer:
         self.spec: PerfSpec | None = assignment.perf
         self.probe_budget = probe_budget
         self._probes: list[FunctionalTest] | None = None
+
+    @classmethod
+    def fingerprint(cls, assignment: Assignment) -> str:
+        """Store-scope token: the analyzer version and the declared spec.
+
+        Changing a detector, a feedback template, an expected cost
+        shape or the probe ladder orphans stale stored reports.
+        """
+        return f"perf:{perf_analysis_fingerprint()}:{assignment.perf!r}"
+
+    def run(
+        self,
+        unit: ast.CompilationUnit | None,
+        graphs: Mapping[str, Epdg],
+        outcome: MatchOutcome,
+    ) -> list[Diagnostic]:
+        """Perf findings; correct-but-slow code is why the channel exists."""
+        if unit is None:
+            return []
+        return self.analyze(unit)
 
     # ------------------------------------------------------------------
 

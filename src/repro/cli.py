@@ -305,12 +305,12 @@ def _json_kind_counts(root: pathlib.Path) -> dict[str, int]:
 
 
 def _cmd_repair(args) -> int:
-    from repro.core.store import ResultStore
+    from repro.core.profile import GradingProfile
     from repro.repair.corpus import RepairCorpus
 
     assignment = get_assignment(args.assignment)
-    store = ResultStore(
-        args.cache_dir, assignment, backend=args.store_backend, repair=True
+    store = GradingProfile(repair=True).open_store(
+        args.cache_dir, assignment, args.store_backend
     )
     if args.corpus_command == "build":
         corpus = RepairCorpus.build(

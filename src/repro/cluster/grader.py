@@ -25,14 +25,10 @@ collector):
 * ``cluster.store_hits`` — buckets revived from the result store;
 * ``cluster.fallbacks`` — full grades forced by a safety gate;
 * ``cluster.unsafe_kb`` — grades skipped because the audit failed;
-* ``cluster.repair_fallbacks`` — full grades forced because the wrapped
-  engine carries the repair channel (suggestions are member-specific,
-  so representative replay is unsound);
-* ``cluster.perf_fallbacks`` — full grades forced because the wrapped
-  engine carries the performance analyzer (its findings depend on
-  runtime cost counters of the member's own code, which the canonical
-  fingerprint deliberately ignores — e.g. constants are normalized —
-  so representative replay is unsound).
+* ``cluster.repair_fallbacks`` / ``cluster.perf_fallbacks`` — full
+  grades forced because the wrapped engine carries a feedback channel
+  (counted under its first channel): channel output is member-specific,
+  so representative replay is unsound.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from repro.instrumentation import count, phase
 class ClusterGrader:
     """Grade submissions bucket-wise through one wrapped engine.
 
-    ``store`` is an optional :class:`~repro.core.store.ResultStore`;
+    ``store`` is an optional :class:`~repro.core.storage.ResultStore`;
     when given, bucket records persist fingerprint-keyed, so a warm run
     specializes every member of a previously seen bucket without a
     single full grade.  Bucket state is guarded by a lock — one
@@ -91,22 +87,14 @@ class ClusterGrader:
     def grade(self, source: str) -> GradingReport:
         """Grade one submission, bucket-wise when provably safe."""
         count("cluster.submissions")
-        if getattr(self.engine, "repairer", None) is not None:
-            # Repair suggestions substitute the *student's own*
-            # identifiers into candidate text, so two members of the
-            # same rename-equivalence bucket legitimately get different
-            # suggestion bytes — replaying the representative's would be
-            # wrong.  With the repair channel on, every submission takes
-            # the full path.
-            count("cluster.repair_fallbacks")
-            return self.engine.grade(source)
-        if getattr(self.engine, "perf_analyzer", None) is not None:
-            # Perf findings come from replaying the member's own code
-            # under cost counters; rename-equivalent members can differ
-            # in normalized constants (loop bounds!), so the
-            # representative's measured shapes do not transfer.  With
-            # the perf channel on, every submission takes the full path.
-            count("cluster.perf_fallbacks")
+        if self.engine.channels:
+            # Channel output is member-specific: repair suggestions are
+            # phrased in the student's own identifiers, and perf findings
+            # come from running the member's own code, whose constants
+            # (loop bounds!) the fingerprint normalizes away.  Replaying
+            # the representative's would be wrong, so with any channel
+            # on every submission takes the full path.
+            count(f"cluster.{self.engine.channels[0].name}_fallbacks")
             return self.engine.grade(source)
         if not self.audit.safe:
             count("cluster.unsafe_kb")

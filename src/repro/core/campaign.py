@@ -63,7 +63,8 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.assignment import Assignment
 from repro.core.metrics import PipelineStats
 from repro.core.pipeline import BatchGrader
-from repro.core.store import ResultStore, _safe_component
+from repro.core.profile import GradingProfile
+from repro.core.storage import ResultStore, _safe_component
 from repro.errors import ReproError
 
 #: Default submissions per shard: large enough to amortize the per-shard
@@ -171,9 +172,8 @@ class CampaignRunner:
         if isinstance(store, ResultStore):
             self.store = store
         else:
-            self.store = ResultStore(
-                store, assignment, backend=store_backend, repair=repair,
-                perf=perf,
+            self.store = GradingProfile(repair=repair, perf=perf).open_store(
+                store, assignment, store_backend
             )
         self.grader = BatchGrader(
             assignment,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.checks import run_checks
 from repro.core.assignment import Assignment
@@ -16,8 +16,7 @@ from repro.pdg.builder import extract_all_epdgs
 from repro.pdg.graph import Epdg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.perf.analyzer import PerfAnalyzer
-    from repro.repair.engine import RepairEngine
+    from repro.core.profile import Channel
 
 #: A cached frontend result: the parsed unit plus its method EPDGs.
 FrontendEntry = tuple[ast.CompilationUnit, "dict[str, Epdg]"]
@@ -49,23 +48,15 @@ class FeedbackEngine:
         self,
         assignment: Assignment,
         frontend_cache_size: int = FRONTEND_CACHE_SIZE,
-        repairer: "RepairEngine | None" = None,
-        perf_analyzer: "PerfAnalyzer | None" = None,
+        channels: "Sequence[Channel]" = (),
     ):
         self.assignment = assignment
-        #: Opt-in repair channel (:mod:`repro.repair`): when set, graded
-        #: submissions that are rejected by pattern matching additionally
-        #: run the ``repair`` phase and may carry verified fix
-        #: suggestions on their reports.  ``None`` — the default
-        #: everywhere unless explicitly enabled — keeps output
-        #: byte-identical to earlier revisions.
-        self.repairer = repairer
-        #: Opt-in performance analyzer (:mod:`repro.analysis.perf`): when
-        #: set, every graded submission with a parsed unit additionally
-        #: runs the ``perf`` phase, and performance findings ride the
-        #: report's ``perf`` list.  ``None`` keeps output byte-identical
-        #: to earlier revisions.
-        self.perf_analyzer = perf_analyzer
+        #: Opt-in feedback channels (:mod:`repro.core.profile`), run in
+        #: order after matching; each one's findings ride the report
+        #: field named after it.  No channels — the default everywhere
+        #: unless explicitly enabled — keeps output byte-identical to
+        #: earlier revisions.
+        self.channels = tuple(channels)
         self._frontend_cache_size = frontend_cache_size
         # source text -> (unit, EPDG dict), or the JavaSyntaxError text
         # for submissions that do not parse.  Insertion-ordered for FIFO
@@ -178,24 +169,15 @@ class FeedbackEngine:
         if unit is not None:
             with phase("analysis"):
                 diagnostics = run_checks(unit, graphs)
-        repair = []
-        if self.repairer is not None and not outcome.is_fully_correct:
-            # Only rejected submissions get suggestions: a fully correct
-            # one needs none, and parse errors never reach this method.
-            with phase("repair"):
-                repair = self.repairer.suggest(graphs)
-        perf = []
-        if self.perf_analyzer is not None and unit is not None:
-            # Performance findings apply to correct submissions too —
-            # correct-but-slow is exactly the case the channel exists for.
-            with phase("perf"):
-                perf = self.perf_analyzer.analyze(unit)
+        findings = {}
+        for channel in self.channels:
+            with phase(channel.name):
+                findings[channel.name] = channel.run(unit, graphs, outcome)
         return GradingReport(
             assignment_name=self.assignment.name,
             outcome=outcome,
             diagnostics=diagnostics,
-            repair=repair,
-            perf=perf,
+            **findings,
         )
 
     def extract(self, source: str):

@@ -56,10 +56,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.assignment import Assignment
-from repro.core.engine import FeedbackEngine
 from repro.core.metrics import PipelineStats
 from repro.core.report import GradingReport
-from repro.core.store import ResultStore
+from repro.core.profile import GradingProfile, build_grader
+from repro.core.storage import ResultStore
 from repro.instrumentation import (
     DeadlineExceeded,
     PhaseCollector,
@@ -74,8 +74,8 @@ MODES = ("serial", "thread", "process")
 #: and therefore safe to cache.  Internal ``error`` reports may be
 #: transient (e.g. a worker dying) and ``timeout`` reports depend on
 #: host load and the configured budget, so neither is ever cached —
-#: neither in memory here nor on disk (the serve layer checks this set
-#: before persisting to a :class:`~repro.core.store.ResultStore`).
+#: neither in memory here nor on disk (:class:`TieredCache` checks this
+#: set before persisting to a :class:`~repro.core.storage.ResultStore`).
 CACHEABLE_STATUSES = frozenset({"ok", "rejected", "parse-error"})
 
 
@@ -139,6 +139,53 @@ class ResultCache:
         self._entries.clear()
 
 
+class TieredCache:
+    """A :class:`ResultCache` in front of an optional persistent store.
+
+    Reads try memory, then the store; a store hit is promoted to memory
+    so the next lookup skips the disk.  Writes go to memory and, for
+    cacheable statuses, through to the store.  Store traffic is counted
+    on the caller's :class:`PipelineStats` as ``cache.store_hits`` /
+    ``cache.store_misses`` / ``cache.store_writes`` /
+    ``cache.store_errors``.  The batch pipeline and the grading service
+    both answer repeats through one of these.
+    """
+
+    def __init__(
+        self, memory: ResultCache, store: ResultStore | None = None
+    ):
+        self.memory = memory
+        self.store = store
+
+    def get(self, key: str, stats: PipelineStats) -> GradingReport | None:
+        report = self.memory.get(key)
+        if report is not None or self.store is None:
+            return report
+        report = self.store.get(key)
+        if report is None:
+            stats.record_counter("cache.store_misses")
+            return None
+        stats.record_counter("cache.store_hits")
+        self.memory.put(key, report)
+        return report
+
+    def put(
+        self,
+        key: str,
+        report: GradingReport,
+        stats: PipelineStats,
+        cluster: str | None = None,
+    ) -> None:
+        """Remember ``report``; ``cluster`` links its store entry to a bucket."""
+        self.memory.put(key, report)
+        if self.store is None or report.status not in CACHEABLE_STATUSES:
+            return
+        if self.store.put(key, report, cluster=cluster):
+            stats.record_counter("cache.store_writes")
+        else:
+            stats.record_counter("cache.store_errors")
+
+
 @dataclass(frozen=True)
 class GradedSubmission:
     """One batch item: its label, content key, and report."""
@@ -178,66 +225,33 @@ class BatchResult:
 
 # -- process-pool plumbing (must be module-level for pickling) -----------
 
-_WORKER_ENGINE: FeedbackEngine | None = None
+_WORKER_ENGINE = None
 _WORKER_MAX_SECONDS: float | None = None
 
 
 def _init_process_worker(
     assignment: Assignment,
+    profile: GradingProfile,
     max_seconds: float | None = None,
-    cluster: bool = False,
     store_root: str | None = None,
     store_backend: str = "auto",
-    repair: bool = False,
-    perf: bool = False,
 ) -> None:
-    """Build one engine per worker process (assignment pickled once).
+    """Build one grader per worker process (assignment pickled once).
 
-    With ``cluster=True`` each worker wraps its engine in a
-    :class:`~repro.cluster.grader.ClusterGrader`; bucket registries are
-    per-process (workers cannot share memory), but with a ``store_root``
-    every worker reads and writes the same fingerprint-keyed records, so
-    buckets discovered by one process specialize in all of them.  The
+    Cluster bucket registries are per-process (workers cannot share
+    memory), but with a ``store_root`` every worker reads and writes
+    the same fingerprint-keyed records and the same repair corpus.  The
     parent passes its already-resolved ``store_backend`` so workers
     never re-run auto-detection against a directory the parent may
     still be populating.
-
-    With ``repair=True`` each worker carries its own
-    :class:`~repro.repair.engine.RepairEngine`; the store (scoped to the
-    repair fingerprint, see :class:`~repro.core.storage.ResultStore`)
-    lets the first worker's built corpus be loaded by the rest.
-    ``perf=True`` gives each worker its own
-    :class:`~repro.analysis.perf.analyzer.PerfAnalyzer` (stateless
-    beyond its cached probe ladder, so per-process copies are free).
     """
     global _WORKER_ENGINE, _WORKER_MAX_SECONDS
     store = (
-        ResultStore(
-            store_root, assignment, backend=store_backend, repair=repair,
-            perf=perf,
-        )
+        profile.open_store(store_root, assignment, store_backend)
         if store_root is not None
         else None
     )
-    repairer = None
-    if repair:
-        from repro.repair.engine import RepairEngine
-
-        repairer = RepairEngine.for_assignment(assignment, store=store)
-    perf_analyzer = None
-    if perf:
-        from repro.analysis.perf.analyzer import PerfAnalyzer
-
-        perf_analyzer = PerfAnalyzer(assignment)
-    engine = FeedbackEngine(
-        assignment, frontend_cache_size=0, repairer=repairer,
-        perf_analyzer=perf_analyzer,
-    )
-    if cluster:
-        from repro.cluster.grader import ClusterGrader
-
-        engine = ClusterGrader(engine, store=store)
-    _WORKER_ENGINE = engine
+    _WORKER_ENGINE = build_grader(assignment, profile, store)
     _WORKER_MAX_SECONDS = max_seconds
 
 
@@ -312,7 +326,7 @@ class BatchGrader:
         not just the source text.
     store:
         Optional persistent cross-process cache: a
-        :class:`~repro.core.store.ResultStore`, or a directory path from
+        :class:`~repro.core.storage.ResultStore`, or a directory path from
         which one is built for this assignment.  Consulted after the
         in-memory cache misses and written through after fresh grades,
         so a later batch run — or a concurrent one in another process —
@@ -339,7 +353,7 @@ class BatchGrader:
         ``"auto"`` (default; flips to SQLite when a ``store.sqlite``
         exists in the root), ``"json"``, or ``"sqlite"``.  Ignored when
         ``store`` is already a constructed
-        :class:`~repro.core.store.ResultStore`.  Process workers
+        :class:`~repro.core.storage.ResultStore`.  Process workers
         inherit the parent's resolved backend rather than re-running
         auto-detection.
     repair:
@@ -349,9 +363,9 @@ class BatchGrader:
         default, and strictly additive when off — disabled runs produce
         byte-identical output to a build without the channel, enforced
         by scoping repair-enabled store entries under a derived
-        fingerprint (see
-        :func:`~repro.core.storage.repair_fingerprint`).  Repair
-        traffic shows up in ``stats.counters`` under ``repair.*``.
+        fingerprint (see :meth:`~repro.core.profile.GradingProfile.scope`).
+        Repair traffic shows up in ``stats.counters`` under
+        ``repair.*``.
     perf:
         Opt into performance diagnostics (:mod:`repro.analysis.perf`):
         every graded submission additionally runs the static loop
@@ -359,9 +373,12 @@ class BatchGrader:
         :class:`~repro.analysis.perf.model.PerfSpec` — the dynamic
         cost-shape fitter over the functional-test input ladder.
         Off by default and strictly additive when off (byte-identical
-        output, enforced by the derived store fingerprint — see
-        :func:`~repro.core.storage.perf_fingerprint`).  Perf traffic
-        shows up in ``stats.counters`` under ``perf.*``.
+        output, enforced by the derived store fingerprint).  Perf
+        traffic shows up in ``stats.counters`` under ``perf.*``.
+
+    ``cluster``, ``repair`` and ``perf`` form the grader's
+    :class:`~repro.core.profile.GradingProfile`; a ``store`` passed in
+    must be scoped to it.
     """
 
     def __init__(
@@ -397,60 +414,24 @@ class BatchGrader:
             self.cache = None
         else:
             self.cache = cache
+        self.profile = GradingProfile(
+            cluster=cluster, repair=repair, perf=perf
+        )
         if store is None or isinstance(store, ResultStore):
-            if (
-                store is not None
-                and store.repair_enabled != repair
-            ):
-                raise ValueError(
-                    "store repair scope does not match the grader: pass "
-                    "ResultStore(..., repair={}) or a directory path"
-                    .format(repair)
-                )
-            if (
-                store is not None
-                and store.perf_enabled != perf
-            ):
-                raise ValueError(
-                    "store perf scope does not match the grader: pass "
-                    "ResultStore(..., perf={}) or a directory path"
-                    .format(perf)
-                )
             self.store: ResultStore | None = store
         else:
-            self.store = ResultStore(
-                store, assignment, backend=store_backend, repair=repair,
-                perf=perf,
+            self.store = self.profile.open_store(
+                store, assignment, store_backend
             )
-        self.repair = repair
-        self.perf = perf
-        repairer = None
-        if repair:
-            from repro.repair.engine import RepairEngine
-
-            repairer = RepairEngine.for_assignment(
-                assignment, store=self.store
-            )
-        perf_analyzer = None
-        if perf:
-            from repro.analysis.perf.analyzer import PerfAnalyzer
-
-            perf_analyzer = PerfAnalyzer(assignment)
-        self.engine = FeedbackEngine(
-            assignment, frontend_cache_size=0, repairer=repairer,
-            perf_analyzer=perf_analyzer,
+        # serial/thread share one grader (a cluster grader's bucket
+        # registry is lock-guarded); process mode builds one per worker
+        # in _init_process_worker
+        self.engine = build_grader(assignment, self.profile, self.store)
+        self.tiers = (
+            TieredCache(self.cache, self.store)
+            if self.cache is not None
+            else None
         )
-        self.cluster = cluster
-        self._cluster_grader = None
-        if cluster:
-            from repro.cluster.grader import ClusterGrader
-
-            # serial/thread share one grader (its bucket registry is
-            # lock-guarded); process mode builds one per worker in
-            # _init_process_worker
-            self._cluster_grader = ClusterGrader(
-                self.engine, store=self.store
-            )
 
     def grade_batch(
         self, submissions: Iterable[str | tuple[str, str]]
@@ -472,22 +453,14 @@ class BatchGrader:
         # persistent store — then dedupe what remains so each unique
         # uncached source is graded exactly once.
         stats = PipelineStats(mode=self.mode, workers=self.workers)
-        store = self.store if reuse else None
+        tiers = self.tiers
         replayed: dict[str, GradingReport] = {}
         jobs: list[tuple[str, str]] = []
         seen: set[str] = set()
         for (_, source), job_key in zip(labelled, job_keys):
             if job_key in seen or job_key in replayed:
                 continue
-            cached = self.cache.get(job_key) if reuse else None
-            if cached is None and store is not None:
-                cached = store.get(job_key)
-                if cached is not None:
-                    stats.record_counter("cache.store_hits")
-                    # Promote to memory so the next batch skips the disk.
-                    self.cache.put(job_key, cached)
-                else:
-                    stats.record_counter("cache.store_misses")
+            cached = tiers.get(job_key, stats) if tiers is not None else None
             if cached is not None:
                 replayed[job_key] = cached
             else:
@@ -495,29 +468,19 @@ class BatchGrader:
                 jobs.append((job_key, source))
 
         fresh = self._run_jobs(jobs, stats)
-        if reuse:
+        if tiers is not None:
+            # in cluster mode, link each store entry to its bucket so
+            # tooling can group stored reports by fingerprint (readers
+            # default the key away — see ResultStore.cluster_key)
+            link = self.profile.cluster and tiers.store is not None
             sources = dict(jobs)
             for job_key, report in fresh.items():
-                self.cache.put(job_key, report)
-                if (
-                    store is not None
-                    and report.status in CACHEABLE_STATUSES
-                ):
-                    # in cluster mode, link the entry to its bucket so
-                    # tooling can group stored reports by fingerprint
-                    # (readers default the key away — see
-                    # ResultStore.cluster_key)
-                    link = (
-                        self._cluster_grader.source_digest(
-                            sources[job_key]
-                        )
-                        if self._cluster_grader is not None
-                        else None
-                    )
-                    if store.put(job_key, report, cluster=link):
-                        stats.record_counter("cache.store_writes")
-                    else:
-                        stats.record_counter("cache.store_errors")
+                bucket = (
+                    self.engine.source_digest(sources[job_key])
+                    if link
+                    else None
+                )
+                tiers.put(job_key, report, stats, cluster=bucket)
 
         # Reassemble in input order; only the first occurrence of a
         # freshly graded key counts as "graded", the rest are hits.
@@ -563,7 +526,7 @@ class BatchGrader:
         results: dict[str, GradingReport] = {}
         if not jobs:
             return results
-        grader = self._cluster_grader or self.engine
+        grader = self.engine
         if self.mode == "serial":
             outcomes = (
                 (key, *_grade_one(grader, source, self.max_seconds))
@@ -591,14 +554,12 @@ class BatchGrader:
                 initializer=_init_process_worker,
                 initargs=(
                     self.assignment,
+                    self.profile,
                     self.max_seconds,
-                    self.cluster,
                     str(self.store.root) if self.store is not None else None,
                     self.store.backend_name
                     if self.store is not None
                     else "auto",
-                    self.repair,
-                    self.perf,
                 ),
             )
             with pool:

@@ -52,7 +52,6 @@ import os
 from pathlib import Path
 
 from repro.analysis.checks import analysis_fingerprint
-from repro.analysis.perf.model import PerfSpec, perf_analysis_fingerprint
 from repro.core.assignment import Assignment
 from repro.core.report import GradingReport
 from repro.core.storage.json_backend import JsonBackend
@@ -103,42 +102,6 @@ def kb_fingerprint(assignment: Assignment) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def repair_fingerprint(base: str) -> str:
-    """Derive the repair-channel scope fingerprint from the base one.
-
-    Reports graded with the repair channel enabled carry verified fix
-    suggestions, so they are *not* byte-identical to plain reports of
-    the same source.  Scoping them under a derived fingerprint keeps the
-    two artifact classes apart in one store: a repair-enabled run never
-    replays a plain entry (which would silently drop its suggestions)
-    and — the important direction — a plain run never replays a
-    repair-enabled entry, so with repair disabled all grading output
-    stays byte-identical to earlier revisions whatever else has used
-    the cache directory.  The derivation preserves KB invalidation: a
-    KB edit changes the base fingerprint and therefore this one.
-    """
-    return hashlib.sha256(f"{base}:repair".encode("utf-8")).hexdigest()
-
-
-def perf_fingerprint(base: str, spec: "PerfSpec | None") -> str:
-    """Derive the perf-channel scope fingerprint from ``base``.
-
-    Reports graded with the performance analyzer enabled may carry perf
-    findings, so — exactly like :func:`repair_fingerprint` — they live
-    under a derived fingerprint: a perf-enabled run never replays a
-    plain entry (silently dropping findings) and a plain run never
-    replays a perf-enabled one.  The derivation also folds in the
-    analyzer version/registry (:func:`perf_analysis_fingerprint`) and
-    the assignment's :class:`~repro.analysis.perf.model.PerfSpec` repr,
-    so changing a detector, a feedback template, an expected cost
-    shape, or the probe ladder orphans stale entries the same way a KB
-    edit does.  Channels chain: with both repair and perf enabled the
-    derivation applies on top of the repair fingerprint.
-    """
-    canonical = f"{base}:perf:{perf_analysis_fingerprint()}:{spec!r}"
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def resolve_backend(root: str | os.PathLike[str], backend: str = "auto") -> str:
     """Resolve ``backend`` (possibly ``"auto"``) against ``root``.
 
@@ -184,19 +147,17 @@ class ResultStore:
     ):
         self.assignment = assignment
         self.kb = kb_fingerprint(assignment)
-        self.repair_enabled = repair
-        self.perf_enabled = perf
         # With an opt-in channel on, everything in this store — reports
-        # carrying suggestions or perf findings, the repair corpus
-        # itself — lives under a derived fingerprint (see
-        # :func:`repair_fingerprint` / :func:`perf_fingerprint`), so
-        # plain consumers of the same directory keep reading exactly
-        # what they always did.  The derivations chain (kb → repair →
-        # perf), giving each enabled-channel combination its own scope.
-        fingerprint = repair_fingerprint(self.kb) if repair else self.kb
-        if perf:
-            fingerprint = perf_fingerprint(fingerprint, assignment.perf)
-        self.fingerprint = fingerprint
+        # carrying suggestions or perf findings — lives under a derived
+        # fingerprint (see :meth:`repro.core.profile.GradingProfile.scope`),
+        # so plain consumers of the same directory keep reading exactly
+        # what they always did.  (Imported here: the profile module
+        # imports this one.)
+        from repro.core.profile import GradingProfile
+
+        self.fingerprint = GradingProfile(repair=repair, perf=perf).scope(
+            assignment
+        )
         self.root = Path(root)
         self.backend_name = resolve_backend(self.root, backend)
         scope = (_safe_component(assignment.name), self.fingerprint)
@@ -389,7 +350,5 @@ __all__ = [
     "SCHEMA_VERSION",
     "SqliteBackend",
     "kb_fingerprint",
-    "perf_fingerprint",
-    "repair_fingerprint",
     "resolve_backend",
 ]

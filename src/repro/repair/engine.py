@@ -1,8 +1,8 @@
 """The repair channel: corpus → search → align → verify → suggest.
 
-:class:`RepairEngine` is what plugs into
-:class:`~repro.core.engine.FeedbackEngine` (its ``repairer``
-collaborator).  Given a failing submission's EPDGs it:
+:class:`RepairEngine` is one of
+:class:`~repro.core.engine.FeedbackEngine`'s channels (see
+:mod:`repro.core.profile`).  Given a failing submission's EPDGs it:
 
 1. lazily obtains the corpus — loaded from the
    :class:`~repro.core.storage.ResultStore` when one is attached and a
@@ -55,6 +55,8 @@ from repro.testing.functional import DEFAULT_TEST_BUDGET
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.storage import ResultStore
+    from repro.java import ast
+    from repro.matching.submission import MatchOutcome
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,17 @@ class RepairConfig:
 class RepairEngine:
     """Produces verified fix suggestions for one assignment.
 
+    A :class:`~repro.core.profile.Channel`: suggestions go to the
+    report's ``repair`` field, and only rejected submissions get any.
+
     Thread-compatible the same way :class:`FeedbackEngine` is: the only
     mutable state is the lazily-initialized corpus and a per-entry
     candidate-EPDG cache, both written idempotently (rebuilding or
     re-parsing yields identical values), so sharing an instance across
     the batch pipeline's worker threads is safe.
     """
+
+    name = "repair"
 
     def __init__(
         self,
@@ -98,6 +105,11 @@ class RepairEngine:
         self._candidate_signatures: dict[
             str, dict[str, tuple[int, ...]]
         ] = {}
+
+    @classmethod
+    def fingerprint(cls, assignment: Assignment) -> str:
+        """Store-scope token: suggestions depend on nothing beyond the KB."""
+        return "repair"
 
     @classmethod
     def for_assignment(
@@ -157,6 +169,17 @@ class RepairEngine:
 
     # ------------------------------------------------------------------
     # the channel
+
+    def run(
+        self,
+        unit: ast.CompilationUnit | None,
+        graphs: Mapping[str, Epdg],
+        outcome: MatchOutcome,
+    ) -> list[RepairSuggestion]:
+        """Suggestions for a rejected submission; none for a correct one."""
+        if outcome.is_fully_correct:
+            return []
+        return self.suggest(graphs)
 
     def suggest(
         self, graphs: Mapping[str, Epdg]

@@ -18,11 +18,14 @@ Deadlines are two-layered, mirroring the batch pipeline's
   parent-side with a pipe poll; if the child has not answered by then
   it is assumed wedged (C-level loop, pathological parse) and killed.
 
-Workers keep one :class:`~repro.core.engine.FeedbackEngine` per
-assignment alive across requests, so pattern search plans and
-assignment state — the PR-2 caches — are reused for the whole worker
-lifetime, not rebuilt per request.  The content-keyed result cache
-lives in the *parent* (the service), in front of this pool.
+Workers keep one grader per assignment alive across requests, built by
+:func:`~repro.core.profile.build_grader` from the pool's
+:class:`~repro.core.profile.GradingProfile`, so pattern search plans,
+assignment state and cluster buckets are reused for the whole worker
+lifetime, not rebuilt per request.  With a ``store_root`` the graders
+share the service's result store: cluster bucket records and the
+repair corpus persist there.  The content-keyed result cache lives in
+the *parent* (the service), in front of this pool.
 
 ``mode="inline"`` grades in the event loop's executor threads with
 only the cooperative deadline — no processes, no hard kill.  It exists
@@ -42,8 +45,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 
-from repro.core.engine import FeedbackEngine
 from repro.core.pipeline import _grade_one
+from repro.core.profile import GradingProfile, build_grader
 from repro.core.report import GradingReport
 from repro.instrumentation import PhaseCollector
 from repro.kb import get_assignment
@@ -112,74 +115,58 @@ def _close_inherited_fds(keep: frozenset[int]) -> None:
                 pass
 
 
-def _build_grader(
-    assignment_name: str,
-    cluster: bool,
-    repair: bool = False,
-    perf: bool = False,
-    store_root: str | None = None,
-    store_backend: str = "auto",
-):
-    """One grading entry point for ``assignment_name``.
+class _Graders:
+    """Per-assignment graders, built on first use, that run pool jobs.
 
-    With ``cluster=True`` the engine is wrapped in a
-    :class:`~repro.cluster.grader.ClusterGrader` whose bucket registry
-    lives for the worker's lifetime: structural duplicates across
-    requests specialize instead of re-grading.  Workers keep buckets in
-    memory only — the parent-side result cache and store already handle
-    cross-process reuse at the report level.
-
-    With ``repair=True`` the engine carries a
-    :class:`~repro.repair.engine.RepairEngine`; ``store_root`` (the
-    service's cache directory, when configured) lets workers share one
-    persisted corpus instead of each building its own.  ``perf=True``
-    attaches a :class:`~repro.analysis.perf.analyzer.PerfAnalyzer`, so
-    graded submissions carry performance findings.
+    Each worker process owns one set; the inline slots share one.  Jobs
+    are ``(assignment_name, source, max_seconds, hang_seconds)``
+    and results ``(report, collector, seconds)``.  ``hang_seconds`` is
+    the load-test hook: it stalls the worker *before* grading, standing
+    in for the pathological submission the hard deadline exists for.
     """
-    assignment = get_assignment(assignment_name)
-    repairer = None
-    if repair:
-        from repro.core.store import ResultStore
-        from repro.repair.engine import RepairEngine
 
-        store = (
-            ResultStore(
-                store_root, assignment, backend=store_backend, repair=True
+    def __init__(
+        self,
+        profile: GradingProfile,
+        store_root: str | None,
+        store_backend: str,
+    ):
+        self.profile = profile
+        self.store_root = store_root
+        self.store_backend = store_backend
+        self._graders: dict[str, object] = {}
+
+    def run(self, job: tuple) -> tuple[GradingReport, PhaseCollector, float]:
+        assignment_name, source, max_seconds, hang_seconds = job
+        try:
+            if hang_seconds:
+                time.sleep(hang_seconds)
+            grader = self._graders.get(assignment_name)
+            if grader is None:
+                assignment = get_assignment(assignment_name)
+                store = (
+                    self.profile.open_store(
+                        self.store_root, assignment, self.store_backend
+                    )
+                    if self.store_root is not None
+                    else None
+                )
+                grader = build_grader(assignment, self.profile, store)
+                self._graders[assignment_name] = grader
+            return _grade_one(grader, source, max_seconds)
+        except Exception as exc:  # noqa: BLE001 - keep the worker alive
+            return (
+                GradingReport(
+                    assignment_name=assignment_name,
+                    error=f"{type(exc).__name__}: {exc}",
+                ),
+                PhaseCollector(),
+                0.0,
             )
-            if store_root is not None
-            else None
-        )
-        repairer = RepairEngine.for_assignment(assignment, store=store)
-    perf_analyzer = None
-    if perf:
-        from repro.analysis.perf.analyzer import PerfAnalyzer
-
-        perf_analyzer = PerfAnalyzer(assignment)
-    engine = FeedbackEngine(
-        assignment, frontend_cache_size=0, repairer=repairer,
-        perf_analyzer=perf_analyzer,
-    )
-    if cluster:
-        from repro.cluster.grader import ClusterGrader
-
-        return ClusterGrader(engine)
-    return engine
 
 
-def _worker_main(
-    conn, store_root: str | None = None, store_backend: str = "auto"
-) -> None:
-    """Child loop: engines cached per assignment, one job at a time.
-
-    Jobs are ``(assignment_name, source, max_seconds, hang_seconds,
-    cluster, repair, perf)``; replies are ``(report, collector,
-    seconds)``.
-    ``hang_seconds`` is the load-test hook: it stalls the worker
-    *before* grading, standing in for the pathological submission the
-    hard deadline exists for.  A ``None`` job is the shutdown sentinel.
-    ``store_root``/``store_backend`` are fixed per pool and only feed
-    repair-enabled graders (corpus sharing).
-    """
+def _worker_main(conn, graders: _Graders) -> None:
+    """Child loop: one job at a time until the ``None`` sentinel."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown
     keep = {conn.fileno()}
     parent = multiprocessing.parent_process()
@@ -191,7 +178,6 @@ def _worker_main(
     if tracker_fd is not None:
         keep.add(tracker_fd)
     _close_inherited_fds(frozenset(keep))
-    engines: dict[tuple[str, bool, bool, bool], object] = {}
     while True:
         try:
             job = conn.recv()
@@ -199,30 +185,7 @@ def _worker_main(
             return
         if job is None:
             return
-        (
-            assignment_name, source, max_seconds, hang_seconds, cluster,
-            repair, perf,
-        ) = job
-        try:
-            if hang_seconds:
-                time.sleep(hang_seconds)
-            engine = engines.get((assignment_name, cluster, repair, perf))
-            if engine is None:
-                engine = _build_grader(
-                    assignment_name, cluster, repair, perf,
-                    store_root, store_backend,
-                )
-                engines[(assignment_name, cluster, repair, perf)] = engine
-            result = _grade_one(engine, source, max_seconds)
-        except Exception as exc:  # noqa: BLE001 - keep the worker alive
-            result = (
-                GradingReport(
-                    assignment_name=assignment_name,
-                    error=f"{type(exc).__name__}: {exc}",
-                ),
-                PhaseCollector(),
-                0.0,
-            )
+        result = graders.run(job)
         try:
             conn.send(result)
         except (BrokenPipeError, OSError):
@@ -240,17 +203,14 @@ class _WorkerHandle:
     #: stalls for its full timeout.
     _spawn_lock = threading.Lock()
 
-    def __init__(
-        self, context, store_root: str | None = None,
-        store_backend: str = "auto",
-    ):
+    def __init__(self, context, graders: _Graders):
         self._context = context
         with self._spawn_lock:
             parent_conn, child_conn = context.Pipe(duplex=True)
             self.conn = parent_conn
             self.process = context.Process(
                 target=_worker_main,
-                args=(child_conn, store_root, store_backend),
+                args=(child_conn, graders),
                 daemon=True,
             )
             self.process.start()
@@ -263,15 +223,12 @@ class _WorkerHandle:
         max_seconds: float | None,
         hang_seconds: float,
         hard_timeout: float | None,
-        cluster: bool = False,
-        repair: bool = False,
-        perf: bool = False,
     ) -> tuple[PoolResult, bool]:
         """Run one job (blocking); returns ``(result, worker_dead)``."""
         started = time.perf_counter()
         try:
             self.conn.send((assignment_name, source, max_seconds,
-                            hang_seconds, cluster, repair, perf))
+                            hang_seconds))
             if self.conn.poll(hard_timeout):
                 report, collector, seconds = self.conn.recv()
                 return PoolResult(report, collector, seconds), False
@@ -346,6 +303,7 @@ class GradingWorkerPool:
         kill_grace_seconds: float = DEFAULT_KILL_GRACE,
         store_root: str | None = None,
         store_backend: str = "auto",
+        profile: GradingProfile = GradingProfile(),
     ):
         if mode not in POOL_MODES:
             raise ValueError(
@@ -356,20 +314,23 @@ class GradingWorkerPool:
         self.workers = workers
         self.mode = mode
         self.kill_grace_seconds = kill_grace_seconds
+        self.profile = profile
         self.store_root = store_root
         self.store_backend = store_backend
         self.respawns = 0
         self._free: asyncio.Queue = asyncio.Queue()
         self._executor: ThreadPoolExecutor | None = None
         self._context = None
-        # inline mode: (assignment, cluster, repair, perf) -> engine
-        self._engines: dict[tuple[str, bool, bool, bool], object] = {}
+        # inline slots share one set of graders, as threads share one
+        # engine in the batch pipeline; each process worker owns its own
+        self._inline = self._graders()
         self._started = False
 
+    def _graders(self) -> _Graders:
+        return _Graders(self.profile, self.store_root, self.store_backend)
+
     def _spawn_handle(self) -> "_WorkerHandle":
-        return _WorkerHandle(
-            self._context, self.store_root, self.store_backend
-        )
+        return _WorkerHandle(self._context, self._graders())
 
     async def start(self) -> None:
         if self._started:
@@ -402,9 +363,6 @@ class GradingWorkerPool:
         source: str,
         max_seconds: float | None,
         hang_seconds: float = 0.0,
-        cluster: bool = False,
-        repair: bool = False,
-        perf: bool = False,
     ) -> PoolResult:
         """Grade one submission on the next free worker."""
         if not self._started:
@@ -415,7 +373,7 @@ class GradingWorkerPool:
             if self.mode == "inline":
                 return await self._grade_inline(
                     loop, assignment_name, source, max_seconds,
-                    hang_seconds, cluster, repair, perf,
+                    hang_seconds,
                 )
             hard_timeout = (
                 max_seconds + self.kill_grace_seconds
@@ -425,7 +383,7 @@ class GradingWorkerPool:
             result, worker_dead = await loop.run_in_executor(
                 self._executor, slot.execute,
                 assignment_name, source, max_seconds, hang_seconds,
-                hard_timeout, cluster, repair, perf,
+                hard_timeout,
             )
             if worker_dead:
                 self.respawns += 1
@@ -438,40 +396,14 @@ class GradingWorkerPool:
 
     async def _grade_inline(
         self, loop, assignment_name, source, max_seconds, hang_seconds,
-        cluster=False, repair=False, perf=False,
     ) -> PoolResult:
-        def run():
-            try:
-                if hang_seconds:
-                    time.sleep(hang_seconds)
-                engine = self._engines.get(
-                    (assignment_name, cluster, repair, perf)
-                )
-                if engine is None:
-                    engine = _build_grader(
-                        assignment_name, cluster, repair, perf,
-                        self.store_root, self.store_backend,
-                    )
-                    self._engines[
-                        (assignment_name, cluster, repair, perf)
-                    ] = engine
-                return _grade_one(engine, source, max_seconds)
-            except Exception as exc:  # noqa: BLE001 - mirror process mode
-                return (
-                    GradingReport(
-                        assignment_name=assignment_name,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
-                    PhaseCollector(),
-                    0.0,
-                )
-
+        job = (assignment_name, source, max_seconds, hang_seconds)
         hard_timeout = (
             max_seconds + self.kill_grace_seconds
             if max_seconds is not None
             else None
         )
-        future = loop.run_in_executor(self._executor, run)
+        future = loop.run_in_executor(self._executor, self._inline.run, job)
         try:
             report, collector, seconds = await asyncio.wait_for(
                 asyncio.shield(future), hard_timeout

@@ -37,13 +37,10 @@ import signal
 import time
 from dataclasses import dataclass, field
 
-from repro.core.pipeline import (
-    CACHEABLE_STATUSES,
-    ResultCache,
-    source_key,
-)
+from repro.core.pipeline import ResultCache, TieredCache, source_key
+from repro.core.profile import GradingProfile
 from repro.core.report import GradingReport
-from repro.core.store import ResultStore
+from repro.core.storage import resolve_backend
 from repro.errors import KnowledgeBaseError
 from repro.kb import all_assignment_names, get_assignment
 from repro.serve.admission import AdmissionController
@@ -85,7 +82,7 @@ class ServiceConfig:
     max_body_bytes: int = 1 << 20
     cache_size: int = 8192
     #: Directory for the persistent cross-process result cache
-    #: (:class:`~repro.core.store.ResultStore`); ``None`` disables it.
+    #: (:class:`~repro.core.storage.ResultStore`); ``None`` disables it.
     #: A restarted service — or a batch run pointed at the same
     #: directory — replays previously graded submissions from disk.
     cache_dir: str | os.PathLike | None = None
@@ -100,6 +97,7 @@ class ServiceConfig:
     #: specializes one representative's report instead of re-grading.
     #: Output-preserving; worth enabling for duplicate-heavy cohorts,
     #: a no-op overhead (one extra lex per request) for diverse ones.
+    #: With ``cache_dir`` set, bucket records persist there.
     cluster: bool = False
     #: Grade with the repair channel (:mod:`repro.repair`): rejected
     #: submissions additionally carry corpus-backed, functionally
@@ -145,6 +143,11 @@ class GradingService:
             cooldown_seconds=self.config.breaker_cooldown_seconds,
             half_open_probes=self.config.breaker_half_open_probes,
         )
+        self.profile = GradingProfile(
+            cluster=self.config.cluster,
+            repair=self.config.repair,
+            perf=self.config.perf,
+        )
         self.pool = GradingWorkerPool(
             workers=self.config.workers,
             mode=self.config.pool_mode,
@@ -155,9 +158,9 @@ class GradingService:
                 else None
             ),
             store_backend=self.config.store_backend,
+            profile=self.profile,
         )
-        self._caches: dict[str, ResultCache] = {}
-        self._stores: dict[str, ResultStore] = {}
+        self._tiers: dict[str, TieredCache] = {}
         # lazily-computed KB lint report (the KB is immutable for the
         # lifetime of a service process, so one run is enough)
         self._lint_payload: dict | None = None
@@ -359,12 +362,22 @@ class GradingService:
 
     # -- grading ---------------------------------------------------------
 
-    def _cache(self, assignment_name: str) -> ResultCache:
-        cache = self._caches.get(assignment_name)
-        if cache is None:
-            cache = ResultCache(maxsize=self.config.cache_size)
-            self._caches[assignment_name] = cache
-        return cache
+    def _tier(self, assignment_name: str) -> TieredCache:
+        """Per-assignment memory cache, backed by the store when configured."""
+        tiers = self._tiers.get(assignment_name)
+        if tiers is None:
+            store = (
+                self.profile.open_store(
+                    self.config.cache_dir,
+                    get_assignment(assignment_name),
+                    self.config.store_backend,
+                )
+                if self.config.cache_dir is not None
+                else None
+            )
+            tiers = TieredCache(ResultCache(self.config.cache_size), store)
+            self._tiers[assignment_name] = tiers
+        return tiers
 
     def _store_info(self) -> dict:
         """``/metrics`` store section: which backend this service uses.
@@ -375,30 +388,12 @@ class GradingService:
         """
         if self.config.cache_dir is None:
             return {"enabled": False, "backend": "none"}
-        from repro.core.store import resolve_backend
-
         return {
             "enabled": True,
             "backend": resolve_backend(
                 self.config.cache_dir, self.config.store_backend
             ),
         }
-
-    def _store(self, assignment_name: str) -> ResultStore | None:
-        """Per-assignment persistent store, or ``None`` when disabled."""
-        if self.config.cache_dir is None:
-            return None
-        store = self._stores.get(assignment_name)
-        if store is None:
-            store = ResultStore(
-                self.config.cache_dir,
-                get_assignment(assignment_name),
-                backend=self.config.store_backend,
-                repair=self.config.repair,
-                perf=self.config.perf,
-            )
-            self._stores[assignment_name] = store
-        return store
 
     async def _grade(
         self, request: HttpRequest, assignment_name: str
@@ -431,11 +426,12 @@ class GradingService:
         deadline_seconds = self._deadline_from(payload)
         hang_seconds = self._debug_sleep_from(payload)
 
-        # replayed reports cost no worker time: cache hits bypass both
-        # the breaker and admission
-        cache = self._cache(assignment_name)
+        # replayed reports — from memory or the persistent store — cost
+        # no worker time: cache hits bypass both the breaker and
+        # admission
+        tiers = self._tier(assignment_name)
         key = source_key(source)
-        cached = cache.get(key)
+        cached = tiers.get(key, self.metrics.pipeline)
         if cached is not None:
             self.metrics.increment("serve.cache_hits")
             self.metrics.increment("serve.completed")
@@ -443,23 +439,6 @@ class GradingService:
             elapsed = time.perf_counter() - started
             self.metrics.latency.observe(elapsed)
             return self._report_response(cached, label, True, elapsed)
-
-        # second chance: the persistent cross-process store.  A hit is
-        # promoted into the in-memory cache and replayed like any other
-        # cache hit — no worker time, no admission.
-        store = self._store(assignment_name)
-        if store is not None:
-            persisted = store.get(key)
-            if persisted is not None:
-                self.metrics.pipeline.record_counter("cache.store_hits")
-                cache.put(key, persisted)
-                self.metrics.increment("serve.cache_hits")
-                self.metrics.increment("serve.completed")
-                self.metrics.pipeline.record_submission(cache_hit=True)
-                elapsed = time.perf_counter() - started
-                self.metrics.latency.observe(elapsed)
-                return self._report_response(persisted, label, True, elapsed)
-            self.metrics.pipeline.record_counter("cache.store_misses")
 
         breaker = self.breakers.get(assignment_name)
         if not breaker.allow():
@@ -493,9 +472,6 @@ class GradingService:
         try:
             result = await self.pool.grade(
                 assignment_name, source, deadline_seconds, hang_seconds,
-                cluster=self.config.cluster,
-                repair=self.config.repair,
-                perf=self.config.perf,
             )
         finally:
             self.admission.release(time.perf_counter() - started)
@@ -510,12 +486,7 @@ class GradingService:
             timeout=report.status == "timeout",
             error=report.status == "error",
         )
-        cache.put(key, report)  # refuses timeout/error statuses itself
-        if store is not None and report.status in CACHEABLE_STATUSES:
-            if store.put(key, report):
-                self.metrics.pipeline.record_counter("cache.store_writes")
-            else:
-                self.metrics.pipeline.record_counter("cache.store_errors")
+        tiers.put(key, report, self.metrics.pipeline)
         if result.killed:
             self.metrics.increment("serve.deadline_kills")
         elif report.status == "timeout":

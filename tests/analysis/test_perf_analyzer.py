@@ -51,7 +51,7 @@ def polynomials():
 @pytest.fixture(scope="module")
 def perf_engine(polynomials):
     return FeedbackEngine(
-        polynomials, perf_analyzer=PerfAnalyzer(polynomials)
+        polynomials, channels=[PerfAnalyzer(polynomials)]
     )
 
 
@@ -78,7 +78,7 @@ class TestEscalation:
 
     def test_counters_flow_through_collector(self, polynomials):
         engine = FeedbackEngine(
-            polynomials, perf_analyzer=PerfAnalyzer(polynomials)
+            polynomials, channels=[PerfAnalyzer(polynomials)]
         )
         collector = PhaseCollector()
         with collecting(collector):
@@ -155,7 +155,7 @@ class TestReferenceGate:
     def test_references_are_perf_clean(self, assignment):
         """Full two-sided pass, zero diagnostics on every reference."""
         engine = FeedbackEngine(
-            assignment, perf_analyzer=PerfAnalyzer(assignment)
+            assignment, channels=[PerfAnalyzer(assignment)]
         )
         for reference in assignment.reference_solutions:
             report = engine.grade(reference)

@@ -18,7 +18,7 @@ from repro.analysis.perf.analyzer import PerfAnalyzer
 from repro.cluster import ClusterGrader
 from repro.core.engine import FeedbackEngine
 from repro.core.pipeline import BatchGrader
-from repro.core.store import ResultStore
+from repro.core.storage import ResultStore
 from repro.instrumentation import collecting
 from repro.kb import get_assignment
 
@@ -91,7 +91,7 @@ class TestBatchGrader:
 class TestClusterFallback:
     def test_perf_forces_full_grading(self, polynomials):
         engine = FeedbackEngine(
-            polynomials, perf_analyzer=PerfAnalyzer(polynomials)
+            polynomials, channels=[PerfAnalyzer(polynomials)]
         )
         grader = ClusterGrader(engine)
         with collecting() as phases:
@@ -135,20 +135,24 @@ class TestCampaignRunner:
 
 class TestServePool:
     def test_inline_pool_grades_with_perf(self):
+        from repro.core.profile import GradingProfile
         from repro.serve import GradingWorkerPool
 
-        async def go():
-            pool = GradingWorkerPool(workers=1, mode="inline")
+        async def grade(profile):
+            pool = GradingWorkerPool(
+                workers=1, mode="inline", profile=profile
+            )
             await pool.start()
             try:
-                flagged = await pool.grade(
-                    "mitx-polynomials", SLOW_EVALUATE, 30.0, perf=True
-                )
-                plain = await pool.grade(
+                return await pool.grade(
                     "mitx-polynomials", SLOW_EVALUATE, 30.0
                 )
             finally:
                 await pool.stop()
+
+        async def go():
+            flagged = await grade(GradingProfile(perf=True))
+            plain = await grade(GradingProfile())
             return flagged, plain
 
         flagged, plain = asyncio.run(go())

@@ -9,7 +9,7 @@ from repro.analysis import Severity
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.engine import FeedbackEngine
 from repro.core.report import GradingReport
-from repro.core.store import ResultStore, kb_fingerprint
+from repro.core.storage import ResultStore, kb_fingerprint
 
 BUGGY = """
 public class Sub {

@@ -10,7 +10,7 @@ from repro.cluster import ClusterGrader
 from repro.cluster.fingerprint import fingerprint_source
 from repro.core.engine import FeedbackEngine
 from repro.core.pipeline import BatchGrader
-from repro.core.store import ResultStore
+from repro.core.storage import ResultStore
 from repro.instrumentation import collecting
 
 from tests.cluster.conftest import make_variant

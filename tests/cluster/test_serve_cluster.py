@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
+from repro.core.profile import GradingProfile
 from repro.serve import GradingWorkerPool
 
 from tests.cluster.conftest import make_variant
+
+
+CLUSTER = GradingProfile(cluster=True)
 
 
 def run(coro):
@@ -18,19 +24,24 @@ def test_inline_pool_cluster_output_matches_plain(assignment1, audit1):
     members = [base] + [make_variant(base, audit1, v) for v in (1, 2)]
 
     async def go():
-        pool = GradingWorkerPool(workers=1, mode="inline")
-        await pool.start()
+        plain_pool = GradingWorkerPool(workers=1, mode="inline")
+        cluster_pool = GradingWorkerPool(
+            workers=1, mode="inline", profile=CLUSTER
+        )
+        await plain_pool.start()
+        await cluster_pool.start()
         try:
             pairs = []
             for source in members:
-                plain = await pool.grade("assignment1", source, 10.0)
-                clustered = await pool.grade(
-                    "assignment1", source, 10.0, cluster=True
+                plain = await plain_pool.grade("assignment1", source, 10.0)
+                clustered = await cluster_pool.grade(
+                    "assignment1", source, 10.0
                 )
                 pairs.append((plain, clustered))
             return pairs
         finally:
-            await pool.stop()
+            await plain_pool.stop()
+            await cluster_pool.stop()
 
     for plain, clustered in run(go()):
         assert not plain.killed and not clustered.killed
@@ -59,11 +70,11 @@ def test_cluster_counters_surface_through_the_pool(audit1):
     assert members[0] != members[1]
 
     async def go():
-        pool = GradingWorkerPool(workers=1, mode="inline")
+        pool = GradingWorkerPool(workers=1, mode="inline", profile=CLUSTER)
         await pool.start()
         try:
             return [
-                await pool.grade("assignment1", source, 10.0, cluster=True)
+                await pool.grade("assignment1", source, 10.0)
                 for source in members
             ]
         finally:
@@ -74,3 +85,35 @@ def test_cluster_counters_surface_through_the_pool(audit1):
     assert first.collector.counters.get("cluster.representatives") == 1
     # the second member lands in the warm bucket and is specialized
     assert second.collector.counters.get("cluster.specialized") == 1
+
+
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_pool_buckets_persist_in_the_cache_dir(
+    assignment1, audit1, tmp_path, mode
+):
+    # a second pool over the same cache dir — a restarted service —
+    # specializes an alpha-renamed resubmission from the stored bucket
+    first, renamed = (make_variant(SOURCE, audit1, v) for v in (1, 2))
+    assert first != renamed
+
+    async def grade_once(source):
+        pool = GradingWorkerPool(
+            workers=1, mode=mode, store_root=str(tmp_path), profile=CLUSTER
+        )
+        await pool.start()
+        try:
+            return await pool.grade("assignment1", source, 10.0)
+        finally:
+            await pool.stop()
+
+    cold = run(grade_once(first))
+    warm = run(grade_once(renamed))
+    assert cold.collector.counters.get("cluster.representatives") == 1
+    assert warm.collector.counters.get("cluster.store_hits") == 1
+    assert warm.collector.counters.get("cluster.specialized") == 1
+
+    from repro.core.engine import FeedbackEngine
+
+    expected = FeedbackEngine(assignment1).grade(renamed)
+    assert warm.report.to_dict() == expected.to_dict()
+    assert warm.report.render() == expected.render()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.pipeline import BatchGrader, source_key
 from repro.core.report import GradingReport
-from repro.core.store import (
+from repro.core.storage import (
     SCHEMA_VERSION,
     ResultStore,
     kb_fingerprint,
@@ -327,17 +327,17 @@ class TestPerfScoping:
     """Perf-enabled runs must never contaminate plain or repair caches."""
 
     def test_fingerprints_are_disjoint(self, assignment1, tmp_path):
-        from repro.core.store import perf_fingerprint, repair_fingerprint
+        from repro.core.profile import GradingProfile
 
         plain = ResultStore(tmp_path, assignment1)
         perf = ResultStore(tmp_path, assignment1, perf=True)
         both = ResultStore(tmp_path, assignment1, repair=True, perf=True)
-        assert perf.fingerprint == perf_fingerprint(
-            plain.kb, assignment1.perf
+        assert perf.fingerprint == GradingProfile(perf=True).scope(
+            assignment1
         )
-        assert both.fingerprint == perf_fingerprint(
-            repair_fingerprint(plain.kb), assignment1.perf
-        )
+        assert both.fingerprint == GradingProfile(
+            repair=True, perf=True
+        ).scope(assignment1)
         assert len({
             plain.fingerprint, perf.fingerprint, both.fingerprint,
         }) == 3
@@ -354,15 +354,19 @@ class TestPerfScoping:
     def test_fingerprint_tracks_spec_changes(self, assignment1, tmp_path):
         import dataclasses as dc
 
-        from repro.core.store import perf_fingerprint
+        from repro.analysis.perf.analyzer import PerfAnalyzer
 
         spec = assignment1.perf
         assert spec is not None
-        changed = dc.replace(spec, size_metric="int-value")
-        assert perf_fingerprint("kb", spec) != perf_fingerprint(
-            "kb", changed
+        changed = dc.replace(
+            assignment1, perf=dc.replace(spec, size_metric="int-value")
         )
-        assert perf_fingerprint("kb", spec) == perf_fingerprint("kb", spec)
+        assert PerfAnalyzer.fingerprint(assignment1) != (
+            PerfAnalyzer.fingerprint(changed)
+        )
+        assert PerfAnalyzer.fingerprint(assignment1) == (
+            PerfAnalyzer.fingerprint(assignment1)
+        )
 
     def test_grader_rejects_mismatched_store_scope(
         self, assignment1, tmp_path

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import FeedbackEngine
 from repro.core.report import GradingReport
-from repro.core.storage import ResultStore, repair_fingerprint
+from repro.core.storage import ResultStore
 from repro.instrumentation import collecting, deadline
 from repro.java import parse_submission
 from repro.pdg.builder import extract_all_epdgs
@@ -149,7 +151,7 @@ class TestFeedbackEngineWiring:
     def test_failing_submission_report_carries_repair(
         self, assignment1, repairer
     ):
-        engine = FeedbackEngine(assignment1, repairer=repairer)
+        engine = FeedbackEngine(assignment1, channels=[repairer])
         report = engine.grade(BUGGY)
         assert report.repair
         assert report.repair[0].verified
@@ -157,7 +159,7 @@ class TestFeedbackEngineWiring:
         assert "Suggested fix" in rendered
 
     def test_round_trip_preserves_suggestions(self, assignment1, repairer):
-        engine = FeedbackEngine(assignment1, repairer=repairer)
+        engine = FeedbackEngine(assignment1, channels=[repairer])
         report = engine.grade(BUGGY)
         again = GradingReport.from_dict(report.to_dict())
         assert again.to_dict() == report.to_dict()
@@ -166,7 +168,7 @@ class TestFeedbackEngineWiring:
     def test_correct_submission_skips_the_repair_phase(
         self, assignment1, repairer
     ):
-        engine = FeedbackEngine(assignment1, repairer=repairer)
+        engine = FeedbackEngine(assignment1, channels=[repairer])
         with collecting() as phases:
             report = engine.grade(assignment1.reference_solutions[0])
         assert not report.repair
@@ -186,7 +188,9 @@ class TestStoreScoping:
         plain = ResultStore(tmp_path, assignment1)
         scoped = ResultStore(tmp_path, assignment1, repair=True)
         assert scoped.kb == plain.kb
-        assert scoped.fingerprint == repair_fingerprint(plain.kb)
+        assert scoped.fingerprint == hashlib.sha256(
+            f"{plain.kb}:repair".encode("utf-8")
+        ).hexdigest()
         assert scoped.fingerprint != plain.fingerprint
 
     def test_scoped_write_is_invisible_to_plain_store(

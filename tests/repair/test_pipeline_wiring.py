@@ -51,7 +51,7 @@ class TestBatchGrader:
         self, assignment1, repairer
     ):
         grader = BatchGrader(assignment1, cache=False, repair=True)
-        grader.engine.repairer = repairer  # skip a per-test corpus build
+        grader.engine.channels = (repairer,)  # skip a per-test corpus build
         batch = grader.grade_batch(cohort_for(assignment1))
         results = {item.label: item.report for item in batch.items}
         assert results["ok"].repair == []
@@ -66,11 +66,26 @@ class TestBatchGrader:
         with pytest.raises(ValueError, match="repair scope"):
             BatchGrader(assignment1, store=scoped, repair=False)
 
+    def test_corpus_is_shared_across_channel_profiles(
+        self, assignment1, tmp_path
+    ):
+        # save the corpus the way `repro repair corpus build` does: into
+        # the repair-only scope of the cache directory
+        corpus = RepairCorpus.build(assignment1, synth_samples=2)
+        corpus.save(ResultStore(tmp_path, assignment1, repair=True))
+        grader = BatchGrader(
+            assignment1, store=tmp_path, repair=True, perf=True
+        )
+        batch = grader.grade_batch([BUGGY])
+        counters = batch.stats.counters
+        assert counters.get("repair.corpus_loads") == 1
+        assert "repair.corpus_builds" not in counters
+
     def test_repair_run_leaves_the_plain_store_cold(
         self, assignment1, tmp_path, repairer
     ):
         grader = BatchGrader(assignment1, store=tmp_path, repair=True)
-        grader.engine.repairer = repairer
+        grader.engine.channels = (repairer,)
         grader.grade_batch(cohort_for(assignment1))
         plain = ResultStore(tmp_path, assignment1)
         assert plain.entry_count() == 0
@@ -78,7 +93,7 @@ class TestBatchGrader:
 
 class TestClusterFallback:
     def test_repair_forces_full_grading(self, assignment1, repairer):
-        engine = FeedbackEngine(assignment1, repairer=repairer)
+        engine = FeedbackEngine(assignment1, channels=[repairer])
         grader = ClusterGrader(engine)
         with collecting() as phases:
             report = grader.grade(BUGGY)
@@ -92,7 +107,7 @@ class TestClusterFallback:
     def test_suggestions_speak_each_members_identifiers(
         self, assignment1, repairer
     ):
-        engine = FeedbackEngine(assignment1, repairer=repairer)
+        engine = FeedbackEngine(assignment1, channels=[repairer])
         grader = ClusterGrader(engine)
         renamed = BUGGY.replace("xs", "numbers")
         first = grader.grade(BUGGY)
