@@ -7,7 +7,7 @@ the interpreter's tracing hooks.
 
 Each parsed method is lowered once by :mod:`repro.interp.compiler` into
 nested Python closures (slot-indexed frames, sentinel-return control
-flow, fused statement chains) and cached per unique source, so
+flow, one closure per construct) and cached per unique source, so
 campaign-scale re-execution pays compilation once per distinct program.
 Execution cost (steps, per-loop iterations, calls, allocations) is
 recorded as :class:`CostCounters` on every result.

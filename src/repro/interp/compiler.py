@@ -4,47 +4,54 @@ One-time compilation replaces the per-step ``isinstance`` dispatch of the
 original tree-walker: every statement becomes a closure ``(frame, runtime)
 -> signal`` and every expression a closure ``(frame, runtime) -> value``,
 built once per parsed submission and reused across every test, trace, and
-re-verification run.  The lowering applies, in order of payoff:
+re-verification run.  Each construct lowers to exactly one closure shape;
+no construct is specialized for an arity, a literal operand, a constant
+condition, or an unrolled length.  What makes the closures fast:
 
 * **slot frames** — lexical scoping is resolved at compile time into flat
   list indices, so a variable read is ``frame[3]`` instead of a runtime
-  scope-chain walk;
+  scope-chain walk; only slots declared inside ``switch`` cases (which the
+  tree-walker can jump past) check for :data:`_UNDEF` at runtime;
 * **sentinel control flow** — ``break``/``continue``/``return`` return
   sentinel objects up the statement chain instead of raising and
   catching Python exceptions;
-* **fused statement chains** — runs of simple statements bulk-charge
-  their step cost at the chain head (with an exact per-statement slow
-  path when the budget is nearly exhausted), removing the per-statement
-  budget check from hot loop bodies;
-* **specialized expressions** — per-operator closures with ``int``/
-  ``str`` fast paths, constant folding for literal operands, and direct
-  bindings for ``System.out`` and the static stdlib classes.
+* **in-loop step charging** — a block charges each of its statements one
+  step in its own loop, and a loop charges each iteration, so there is no
+  per-statement wrapper call inside blocks;
+* **``int`` fast paths** — binary operators and compound assignments take
+  one table-driven ``int`` path (``+ - *`` wrap to 32 bits, ``/ %`` use
+  Java's truncation, comparisons are exact) and fall back to
+  :func:`_binary_value` for everything else;
+* **a null-tracer fast path** — trace hooks cost one ``None`` test when
+  no tracer is attached.
 
 Behavioral fidelity is the contract: outcomes, stdout, traces, error
 text, and step counts must be byte-identical to the vendored
 tree-walking reference (``benchmarks/_interp_reference.py``), which the
 differential tests enforce.  Every fast path falls back to the shared
-slow helpers (:func:`_binary_value` and friends) that replicate the
-tree-walker line for line, so a fast path can only ever shortcut a case
-whose result is already fixed.
+slow helpers (:func:`_binary_value`, :func:`_unary_value`) that
+replicate the tree-walker line for line, so a fast path can only ever
+shortcut a case whose result is already fixed.
 
 Compiled programs are cached two ways: a memo attribute on the
 :class:`~repro.java.ast.CompilationUnit` itself (same parse ⇒ same
-program) and a source-keyed bounded cache mirroring the PR-4 frontend
-cache, so duplicate-heavy cohorts and repair re-verification compile
-each unique source once.  Cache traffic surfaces as
-``interp.compile_hits`` / ``interp.compile_misses`` via
-:func:`repro.instrumentation.count`.
+program) and a source-keyed bounded cache, so duplicate-heavy cohorts
+and repair re-verification compile each unique source once.  Cache
+traffic surfaces as ``interp.compile_hits`` / ``interp.compile_misses``
+via :func:`repro.instrumentation.count`.
 
 Execution cost (steps, per-loop iteration counts, calls, allocations) is
 tallied on the :class:`Runtime` as a near-free byproduct and exposed as
-:class:`~repro.interp.tracing.CostCounters`.
+:class:`~repro.interp.tracing.CostCounters`.  Loop ids are assigned in
+source order, dead branches included, so they join the static loop
+table of :func:`repro.analysis.perf.static.method_loops`.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from operator import add, eq, ge, gt, le, lt, mul, ne, sub
 from typing import Any, Callable
 
 from repro.errors import BudgetExceededError, JavaRuntimeError
@@ -270,48 +277,15 @@ def _binary_value(operator: str, left: Any, right: Any) -> Any:
     return wrap_int(result) if both_int else float(result)
 
 
-def _seq_closure(units: list[StmtFn]) -> StmtFn:
-    """A statement sequence, unrolled for the short common cases."""
-    if not units:
-        def empty(F: Frame, R: Runtime) -> Any:
-            return None
+def _const(value: Any) -> ExprFn:
+    def const(F: Frame, R: Runtime) -> Any:
+        return value
 
-        return empty
-    if len(units) == 1:
-        return units[0]
-    if len(units) == 2:
-        u1, u2 = units
+    return const
 
-        def seq2(F: Frame, R: Runtime) -> Any:
-            signal = u1(F, R)
-            if signal is not None:
-                return signal
-            return u2(F, R)
 
-        return seq2
-    if len(units) == 3:
-        v1, v2, v3 = units
-
-        def seq3(F: Frame, R: Runtime) -> Any:
-            signal = v1(F, R)
-            if signal is not None:
-                return signal
-            signal = v2(F, R)
-            if signal is not None:
-                return signal
-            return v3(F, R)
-
-        return seq3
-    sequence = tuple(units)
-
-    def seq(F: Frame, R: Runtime) -> Any:
-        for unit in sequence:
-            signal = unit(F, R)
-            if signal is not None:
-                return signal
-        return None
-
-    return seq
+def _nothing(F: Frame, R: Runtime) -> Any:
+    return None
 
 
 def _default_value(type_name: str) -> Any:
@@ -370,9 +344,7 @@ def _print_call(
     raise JavaRuntimeError(f"System.out has no method {name}")
 
 
-def _call_class_ref(
-    R: Runtime, method: str, ref: _ClassRef, name: str, arguments: list[Any]
-) -> Any:
+def _call_class_ref(ref: _ClassRef, name: str, arguments: list[Any]) -> Any:
     if ref.name == "Math":
         return stdlib.call_math(name, arguments)
     if ref.name == "Integer":
@@ -397,7 +369,7 @@ def _dispatch_call(
     if isinstance(target, _SystemOut):
         return _print_call(R, method, name, arguments)
     if isinstance(target, _ClassRef):
-        return _call_class_ref(R, method, target, name, arguments)
+        return _call_class_ref(target, name, arguments)
     raise JavaRuntimeError(f"cannot call {name} on {java_str(target)}")
 
 
@@ -416,7 +388,7 @@ class CompiledMethod:
         self.nslots = 0
         # placeholder body; _MethodCompiler fills it in (two-phase so
         # call sites can bind the CompiledMethod before bodies exist)
-        self.body: StmtFn = lambda F, R: None
+        self.body: StmtFn = _nothing
 
     def invoke(self, arguments: list[Any], R: Runtime) -> Any:
         depth = R.depth
@@ -478,28 +450,6 @@ class CompiledProgram:
 # compilation
 
 
-#: Statement types eligible for step-fused chains: single-tick statements
-#: whose execution cannot itself consume steps (no nested statements; an
-#: unqualified call would tick inside the callee, but calls are excluded
-#: by `_contains_user_call`).
-_SIMPLE_STMTS = (
-    ast.LocalVarDecl,
-    ast.ExpressionStatement,
-    ast.Return,
-    ast.Break,
-    ast.Continue,
-    ast.EmptyStatement,
-)
-_EXIT_STMTS = (ast.Return, ast.Break, ast.Continue)
-
-
-def _contains_user_call(node: ast.Node) -> bool:
-    return any(
-        isinstance(child, ast.MethodCall) and child.target is None
-        for child in ast.walk(node)
-    )
-
-
 class _Scope:
     """One compile-time lexical scope: name -> frame slot."""
 
@@ -526,8 +476,6 @@ class _MethodCompiler:
         self.switch_depth = 0
         #: per-method loop ordinal for stable loop ids
         self.loop_ordinal = 0
-        #: strong refs to constant closures (id-keyed folding table)
-        self._consts: dict[int, tuple[Any, ExprFn]] = {}
 
         for parameter in method.parameters:
             self._declare(parameter.name)
@@ -573,130 +521,20 @@ class _MethodCompiler:
         self.loop_ordinal += 1
         return index
 
-    # -- constant folding ----------------------------------------------
+    # -- statements ----------------------------------------------------
 
-    def _const(self, value: Any) -> ExprFn:
-        def run(F: Frame, R: Runtime) -> Any:
-            return value
+    def _compile_stmt(self, node: ast.Statement) -> StmtFn:
+        """One statement including its own step tick."""
+        unticked = self._compile_stmt_unticked(node)
 
-        self._consts[id(run)] = (value, run)
-        return run
-
-    def _const_of(self, closure: ExprFn) -> tuple[Any] | None:
-        entry = self._consts.get(id(closure))
-        if entry is not None and entry[1] is closure:
-            return (entry[0],)
-        return None
-
-    # -- statement sequencing ------------------------------------------
-
-    def _ticked(self, unticked: StmtFn) -> StmtFn:
-        def run(F: Frame, R: Runtime) -> Any:
+        def ticked(F: Frame, R: Runtime) -> Any:
             steps = R.steps + 1
             R.steps = steps
             if steps > R.budget:
                 _raise_budget(R.budget)
             return unticked(F, R)
 
-        return run
-
-    def _compile_stmt(self, node: ast.Statement) -> StmtFn:
-        """One statement including its own step tick."""
-        return self._ticked(self._compile_stmt_unticked(node))
-
-    def _sequence(self, statements: list[ast.Statement]) -> StmtFn:
-        """A statement list with step-fused chains of simple statements."""
-        units: list[StmtFn] = []
-        i = 0
-        n = len(statements)
-        while i < n:
-            statement = statements[i]
-            if isinstance(statement, _SIMPLE_STMTS) and not \
-                    _contains_user_call(statement):
-                chunk = [statement]
-                i += 1
-                if not isinstance(statement, _EXIT_STMTS):
-                    while i < n:
-                        nxt = statements[i]
-                        if not isinstance(nxt, _SIMPLE_STMTS) or \
-                                _contains_user_call(nxt):
-                            break
-                        chunk.append(nxt)
-                        i += 1
-                        if isinstance(nxt, _EXIT_STMTS):
-                            break
-                if len(chunk) == 1:
-                    units.append(self._ticked(
-                        self._compile_stmt_unticked(chunk[0])
-                    ))
-                else:
-                    units.append(self._fused_chunk(chunk))
-            else:
-                units.append(self._compile_stmt(statement))
-                i += 1
-        return _seq_closure(units)
-
-    def _fused_chunk(self, chunk: list[ast.Statement]) -> StmtFn:
-        """A run of simple statements charged K steps at the head.
-
-        If the bulk charge could cross the budget, fall back to a
-        per-statement ticked replay that reproduces the tree-walker's
-        raise/no-raise decision and final step count exactly.  (On the
-        fast path, a mid-chunk runtime error leaves steps over-charged,
-        but a failed run never reports steps, so that is unobservable.)
-        """
-        unticked = [self._compile_stmt_unticked(s) for s in chunk]
-        ticked = [self._ticked(u) for u in unticked]
-        k = len(unticked)
-
-        def slow(F: Frame, R: Runtime) -> Any:
-            signal = None
-            for unit in ticked:
-                signal = unit(F, R)
-                if signal is not None:
-                    return signal
-            return signal
-
-        if k == 2:
-            u1, u2 = unticked
-
-            def fused2(F: Frame, R: Runtime) -> Any:
-                steps = R.steps + 2
-                if steps > R.budget:
-                    return slow(F, R)
-                R.steps = steps
-                u1(F, R)
-                return u2(F, R)
-
-            return fused2
-        if k == 3:
-            v1, v2, v3 = unticked
-
-            def fused3(F: Frame, R: Runtime) -> Any:
-                steps = R.steps + 3
-                if steps > R.budget:
-                    return slow(F, R)
-                R.steps = steps
-                v1(F, R)
-                v2(F, R)
-                return v3(F, R)
-
-            return fused3
-        head = tuple(unticked[:-1])
-        last = unticked[-1]
-
-        def fused(F: Frame, R: Runtime) -> Any:
-            steps = R.steps + k
-            if steps > R.budget:
-                return slow(F, R)
-            R.steps = steps
-            for unit in head:
-                unit(F, R)
-            return last(F, R)
-
-        return fused
-
-    # -- statements ----------------------------------------------------
+        return ticked
 
     def _compile_stmt_unticked(self, node: ast.Statement) -> StmtFn:
         if isinstance(node, ast.Block):
@@ -732,13 +570,10 @@ class _MethodCompiler:
 
             return cont
         if isinstance(node, ast.Return):
-            if node.value is None:
-                def ret_void(F: Frame, R: Runtime) -> Any:
-                    R.retval = None
-                    return _RETURN
-
-                return ret_void
-            value = self._compile_expr(node.value)
+            value = (
+                self._compile_expr(node.value)
+                if node.value is not None else _const(None)
+            )
 
             def ret(F: Frame, R: Runtime) -> Any:
                 R.retval = value(F, R)
@@ -748,10 +583,7 @@ class _MethodCompiler:
         if isinstance(node, ast.Switch):
             return self._compile_switch(node)
         if isinstance(node, ast.EmptyStatement):
-            def empty(F: Frame, R: Runtime) -> Any:
-                return None
-
-            return empty
+            return _nothing
         kind = type(node).__name__
 
         def unknown(F: Frame, R: Runtime) -> Any:
@@ -761,47 +593,36 @@ class _MethodCompiler:
 
     def _compile_block(self, node: ast.Block) -> StmtFn:
         self._push_scope()
-        body = self._sequence(node.statements)
-        resets = self._pop_scope()
-        if not resets:
-            return body
-        reset_slots = tuple(resets)
+        units = tuple(
+            self._compile_stmt_unticked(s) for s in node.statements
+        )
+        reset_slots = tuple(self._pop_scope())
 
         def block(F: Frame, R: Runtime) -> Any:
             for slot in reset_slots:
                 F[slot] = _UNDEF
-            return body(F, R)
+            # each statement is charged its step here, as _compile_stmt
+            # charges a lone one; the first non-None signal stops the block
+            budget = R.budget
+            for unit in units:
+                steps = R.steps + 1
+                R.steps = steps
+                if steps > budget:
+                    _raise_budget(budget)
+                signal = unit(F, R)
+                if signal is not None:
+                    return signal
+            return None
 
         return block
 
     def _compile_if(self, node: ast.If) -> StmtFn:
         condition = self._compile_expr(node.condition)
         then_branch = self._compile_stmt(node.then_branch)
-        box = self._const_of(condition)
-        if box is not None and box[0] is True:
-            return then_branch
-        else_branch = (
+        orelse = (
             self._compile_stmt(node.else_branch)
-            if node.else_branch is not None else None
+            if node.else_branch is not None else _nothing
         )
-        if box is not None and box[0] is False:
-            if else_branch is None:
-                def nothing(F: Frame, R: Runtime) -> Any:
-                    return None
-
-                return nothing
-            return else_branch
-        if else_branch is None:
-            def if_only(F: Frame, R: Runtime) -> Any:
-                value = condition(F, R)
-                if value is True:
-                    return then_branch(F, R)
-                if value is False:
-                    return None
-                return _raise_condition(value)
-
-            return if_only
-        orelse = else_branch
 
         def if_else(F: Frame, R: Runtime) -> Any:
             value = condition(F, R)
@@ -817,27 +638,6 @@ class _MethodCompiler:
         condition = self._compile_expr(node.condition)
         loop_index = self._next_loop_id("while")
         body = self._compile_stmt(node.body)
-        box = self._const_of(condition)
-        if box is not None and box[0] is True:
-            # `while (true)`: the condition can neither fail nor
-            # side-effect, so skip its evaluation entirely
-            def while_true(F: Frame, R: Runtime) -> Any:
-                iters = R.loop_iters
-                budget = R.budget
-                while True:
-                    steps = R.steps + 1
-                    R.steps = steps
-                    if steps > budget:
-                        _raise_budget(budget)
-                    iters[loop_index] += 1
-                    signal = body(F, R)
-                    if signal is not None:
-                        if signal is _BREAK:
-                            return None
-                        if signal is not _CONTINUE:
-                            return signal
-
-            return while_true
 
         def while_loop(F: Frame, R: Runtime) -> Any:
             iters = R.loop_iters
@@ -893,53 +693,15 @@ class _MethodCompiler:
     def _compile_for(self, node: ast.For) -> StmtFn:
         self._push_scope()
         init_units = [self._compile_stmt(init) for init in node.init]
+        # `for (;;)` loops on a constant `true`, as the tree-walker does
         condition = (
             self._compile_expr(node.condition)
-            if node.condition is not None else None
+            if node.condition is not None else _const(True)
         )
         loop_index = self._next_loop_id("for")
         body = self._compile_stmt(node.body)
-        updates = [self._compile_expr(update) for update in node.update]
+        updates = tuple(self._compile_expr(update) for update in node.update)
         resets = tuple(self._pop_scope())
-        if condition is not None:
-            box = self._const_of(condition)
-            if box is not None and box[0] is True:
-                condition = None
-        update1 = updates[0] if len(updates) == 1 else None
-
-        if condition is None:
-            def for_forever(F: Frame, R: Runtime) -> Any:
-                for slot in resets:
-                    F[slot] = _UNDEF
-                for init in init_units:
-                    signal = init(F, R)
-                    if signal is not None:
-                        return signal
-                iters = R.loop_iters
-                budget = R.budget
-                while True:
-                    steps = R.steps + 1
-                    R.steps = steps
-                    if steps > budget:
-                        _raise_budget(budget)
-                    iters[loop_index] += 1
-                    signal = body(F, R)
-                    if signal is not None:
-                        if signal is _BREAK:
-                            return None
-                        if signal is not _RETURN:
-                            pass  # continue: fall through to updates
-                        else:
-                            return signal
-                    if update1 is not None:
-                        update1(F, R)
-                    else:
-                        for update in updates:
-                            update(F, R)
-
-            return for_forever
-
-        cond = condition
 
         def for_loop(F: Frame, R: Runtime) -> Any:
             for slot in resets:
@@ -951,7 +713,7 @@ class _MethodCompiler:
             iters = R.loop_iters
             budget = R.budget
             while True:
-                value = cond(F, R)
+                value = condition(F, R)
                 if value is not True:
                     if value is False:
                         return None
@@ -969,11 +731,8 @@ class _MethodCompiler:
                         return signal
                     # _CONTINUE falls through to the updates,
                     # like the tree-walker's `except _ContinueSignal: pass`
-                if update1 is not None:
-                    update1(F, R)
-                else:
-                    for update in updates:
-                        update(F, R)
+                for update in updates:
+                    update(F, R)
 
         return for_loop
 
@@ -1128,8 +887,8 @@ class _MethodCompiler:
     def _compile_expr(self, node: ast.Expression) -> ExprFn:
         if isinstance(node, ast.Literal):
             if node.kind == "char":
-                return self._const(JavaChar(str(node.value)))
-            return self._const(node.value)
+                return _const(JavaChar(str(node.value)))
+            return _const(node.value)
         if isinstance(node, ast.Name):
             return self._compile_name(node.identifier)
         if isinstance(node, ast.FieldAccess):
@@ -1206,7 +965,7 @@ class _MethodCompiler:
             if key in _STATIC_FIELDS:
                 # static table wins over locals, like the tree-walker's
                 # _eval_field (checked before any env lookup)
-                return self._const(_STATIC_FIELDS[key])
+                return _const(_STATIC_FIELDS[key])
         target = self._compile_expr(node.target)
         if name == "length":
             def length(F: Frame, R: Runtime) -> Any:
@@ -1272,45 +1031,14 @@ class _MethodCompiler:
 
                 return missing
             callee = compiled
-            if len(arguments) == 0:
-                def call0(F: Frame, R: Runtime) -> Any:
-                    return callee.invoke([], R)
 
-                return call0
-            if len(arguments) == 1:
-                arg1 = arguments[0]
-
-                def call1(F: Frame, R: Runtime) -> Any:
-                    return callee.invoke([arg1(F, R)], R)
-
-                return call1
-            if len(arguments) == 2:
-                first, second = arguments
-
-                def call2(F: Frame, R: Runtime) -> Any:
-                    return callee.invoke([first(F, R), second(F, R)], R)
-
-                return call2
-
-            def calln(F: Frame, R: Runtime) -> Any:
+            def call(F: Frame, R: Runtime) -> Any:
                 return callee.invoke([a(F, R) for a in arguments], R)
 
-            return calln
-        # System.out.<name>(...) binds statically: the tree-walker's
-        # _eval_field resolves `System.out` from the static table before
-        # any local lookup, so local shadowing cannot rebind it
-        if (
-            isinstance(node.target, ast.FieldAccess)
-            and isinstance(node.target.target, ast.Name)
-            and node.target.target.identifier == "System"
-            and node.target.name == "out"
-        ):
-            return self._compile_print(name, arguments)
-        if isinstance(node.target, ast.Name):
-            target_name = node.target.identifier
-            slot = self._resolve(target_name)
-            if slot is None and target_name in _STATIC_CLASSES:
-                return self._compile_static_call(target_name, name, arguments)
+            return call
+        # `System.out` (a static field, which wins over locals) and
+        # unshadowed static classes compile to constant and class-ref
+        # targets, so they dispatch here like the tree-walker's calls
         target = self._compile_expr(node.target)
 
         def call_dynamic(F: Frame, R: Runtime) -> Any:
@@ -1320,99 +1048,6 @@ class _MethodCompiler:
             )
 
         return call_dynamic
-
-    def _compile_print(self, name: str, arguments: list[ExprFn]) -> ExprFn:
-        method = self.method_name
-        if name == "println":
-            if len(arguments) == 1:
-                argument = arguments[0]
-
-                def println1(F: Frame, R: Runtime) -> Any:
-                    text = java_str(argument(F, R)) + "\n"
-                    R.out.append(text)
-                    tracer = R.tracer
-                    if tracer is not None:
-                        tracer.on_output(method, text)
-                    return None
-
-                return println1
-
-            def println(F: Frame, R: Runtime) -> Any:
-                values = [a(F, R) for a in arguments]
-                text = (java_str(values[0]) if values else "") + "\n"
-                R.out.append(text)
-                tracer = R.tracer
-                if tracer is not None:
-                    tracer.on_output(method, text)
-                return None
-
-            return println
-        if name == "print":
-            def print_(F: Frame, R: Runtime) -> Any:
-                values = [a(F, R) for a in arguments]
-                text = java_str(values[0])
-                R.out.append(text)
-                tracer = R.tracer
-                if tracer is not None:
-                    tracer.on_output(method, text)
-                return None
-
-            return print_
-        if name == "printf":
-            def printf(F: Frame, R: Runtime) -> Any:
-                values = [a(F, R) for a in arguments]
-                template = values[0]
-                rest = [
-                    v.char if isinstance(v, JavaChar) else v for v in values[1:]
-                ]
-                try:
-                    _emit(R, method, template % tuple(rest))
-                except (TypeError, ValueError) as error:
-                    raise JavaRuntimeError(f"IllegalFormatException: {error}")
-                return None
-
-            return printf
-
-        def unsupported(F: Frame, R: Runtime) -> Any:
-            for argument in arguments:
-                argument(F, R)
-            raise JavaRuntimeError(f"System.out has no method {name}")
-
-        return unsupported
-
-    def _compile_static_call(
-        self, class_name: str, name: str, arguments: list[ExprFn]
-    ) -> ExprFn:
-        if class_name == "Math":
-            helper = stdlib.call_math
-        elif class_name == "Integer":
-            helper = stdlib.call_integer
-        elif class_name == "String":
-            helper = stdlib.call_string_static
-        elif class_name == "Character":
-            helper = stdlib.call_character
-        else:
-            # `System.foo(...)`: falls through the tree-walker's class
-            # dispatch into the generic "cannot call" error
-            def system_call(F: Frame, R: Runtime) -> Any:
-                values = [a(F, R) for a in arguments]
-                return _call_class_ref(
-                    R, self.method_name, _ClassRef(class_name), name, values
-                )
-
-            return system_call
-        if len(arguments) == 1:
-            argument = arguments[0]
-
-            def static1(F: Frame, R: Runtime) -> Any:
-                return helper(name, [argument(F, R)])
-
-            return static1
-
-        def static_call(F: Frame, R: Runtime) -> Any:
-            return helper(name, [a(F, R) for a in arguments])
-
-        return static_call
 
     def _compile_creation(self, node: ast.ObjectCreation) -> ExprFn:
         arguments = [self._compile_expr(a) for a in node.arguments]
@@ -1476,18 +1111,6 @@ class _MethodCompiler:
 
             return no_dims
         lengths = [self._compile_expr(d) for d in node.dimensions]
-        if len(lengths) == 1 and dims <= 1:
-            length1 = lengths[0]
-
-            def new_array1(F: Frame, R: Runtime) -> Any:
-                value = length1(F, R)
-                R.allocations += 1
-                return JavaArray.of_length(
-                    element,
-                    value if type(value) is int else _int_index(value),
-                )
-
-            return new_array1
 
         def new_array(F: Frame, R: Runtime) -> Any:
             sizes = [_int_index(length(F, R)) for length in lengths]
@@ -1519,31 +1142,6 @@ class _MethodCompiler:
         if operator in ("++", "--"):
             return self._compile_incdec(node)
         operand = self._compile_expr(node.operand)
-        box = self._const_of(operand)
-        if box is not None:
-            try:
-                return self._const(_unary_value(operator, box[0]))
-            except JavaRuntimeError:
-                pass
-        if operator == "!":
-            def not_(F: Frame, R: Runtime) -> Any:
-                value = operand(F, R)
-                if value is True:
-                    return False
-                if value is False:
-                    return True
-                return _raise_condition(value)
-
-            return not_
-        if operator == "-":
-            def neg(F: Frame, R: Runtime) -> Any:
-                value = operand(F, R)
-                if type(value) is int:
-                    result = -value
-                    return result if result <= _INT_MAX else wrap_int(result)
-                return _unary_value("-", value)
-
-            return neg
 
         def unary(F: Frame, R: Runtime) -> Any:
             return _unary_value(operator, operand(F, R))
@@ -1555,63 +1153,24 @@ class _MethodCompiler:
         delta = 1 if operator == "++" else -1
         prefix = node.prefix
         operand = node.operand
-        if isinstance(operand, ast.Name):
-            slot = self._resolve(operand.identifier)
-            if slot is not None:
-                index: int = slot
-                name = operand.identifier
-                checked = index in self.checked
-                static_class = name in _STATIC_CLASSES
-                method = self.method_name
-
-                def incdec_slot(F: Frame, R: Runtime) -> Any:
-                    old = F[index]
-                    if type(old) is int:
-                        new = old + delta
-                        if not _INT_MIN <= new <= _INT_MAX:
-                            new = wrap_int(new)
-                    else:
-                        if old is _UNDEF and checked:
-                            # the declaration was jumped over: the load
-                            # the tree-walker would do raises first,
-                            # unless the name is a static class (then it
-                            # loads a _ClassRef and ++ rejects it)
-                            if static_class:
-                                raise JavaRuntimeError(
-                                    f"cannot {operator} "
-                                    f"{java_str(_ClassRef(name))}"
-                                )
-                            raise JavaRuntimeError(
-                                f"undefined variable {name}"
-                            )
-                        number = numeric_value(old)
-                        if number is None:
-                            raise JavaRuntimeError(
-                                f"cannot {operator} {java_str(old)}"
-                            )
-                        new = number + delta
-                        if isinstance(number, int):
-                            new = wrap_int(new)
-                    # Name-store float promotion cannot apply: an int
-                    # `new` implies `old` was int/char, never float
-                    F[index] = new
-                    tracer = R.tracer
-                    if tracer is not None:
-                        tracer.on_assign(method, name, new)
-                    return new if prefix else old
-
-                return incdec_slot
         load = self._compile_expr(operand)
         store = self._compile_store(operand)
 
         def incdec(F: Frame, R: Runtime) -> Any:
             old = load(F, R)
-            number = numeric_value(old)
-            if number is None:
-                raise JavaRuntimeError(f"cannot {operator} {java_str(old)}")
-            new = number + delta
-            if isinstance(number, int):
-                new = wrap_int(new)
+            if type(old) is int:
+                new = old + delta
+                if not _INT_MIN <= new <= _INT_MAX:
+                    new = wrap_int(new)
+            else:
+                number = numeric_value(old)
+                if number is None:
+                    raise JavaRuntimeError(
+                        f"cannot {operator} {java_str(old)}"
+                    )
+                new = number + delta
+                if isinstance(number, int):
+                    new = wrap_int(new)
             store(F, R, new)
             return new if prefix else old
 
@@ -1623,41 +1182,12 @@ class _MethodCompiler:
             return self._compile_logical(node)
         left = self._compile_expr(node.left)
         right = self._compile_expr(node.right)
-        left_box = self._const_of(left)
-        right_box = self._const_of(right)
-        if left_box is not None and right_box is not None:
-            try:
-                return self._const(
-                    _binary_value(operator, left_box[0], right_box[0])
-                )
-            except JavaRuntimeError:
-                pass
-        rconst = (
-            right_box[0]
-            if right_box is not None and type(right_box[0]) is int else None
-        )
-        return _binop_closure(operator, left, right, rconst,
-                              left_box, right_box)
+        return _binop_closure(operator, left, right)
 
     def _compile_logical(self, node: ast.Binary) -> ExprFn:
         is_and = node.operator == "&&"
         left = self._compile_expr(node.left)
         right = self._compile_expr(node.right)
-        left_box = self._const_of(left)
-        if left_box is not None and isinstance(left_box[0], bool):
-            if left_box[0] is (False if is_and else True):
-                # short-circuit is compile-time decidable
-                return self._const(not is_and)
-
-            def truth_right(F: Frame, R: Runtime) -> Any:
-                value = right(F, R)
-                if value is True:
-                    return True
-                if value is False:
-                    return False
-                return _raise_condition(value)
-
-            return truth_right
         if is_and:
             def and_(F: Frame, R: Runtime) -> Any:
                 value = left(F, R)
@@ -1693,12 +1223,6 @@ class _MethodCompiler:
         condition = self._compile_expr(node.condition)
         if_true = self._compile_expr(node.if_true)
         if_false = self._compile_expr(node.if_false)
-        box = self._const_of(condition)
-        if box is not None:
-            if box[0] is True:
-                return if_true
-            if box[0] is False:
-                return if_false
 
         def ternary(F: Frame, R: Runtime) -> Any:
             value = condition(F, R)
@@ -1714,24 +1238,6 @@ class _MethodCompiler:
         target = node.target
         if node.operator == "=":
             value_fn = self._compile_expr(node.value)
-            if isinstance(target, ast.Name):
-                slot = self._resolve(target.identifier)
-                if slot is not None and slot not in self.checked:
-                    index: int = slot
-                    name = target.identifier
-                    method = self.method_name
-
-                    def assign_slot(F: Frame, R: Runtime) -> Any:
-                        value = value_fn(F, R)
-                        if type(F[index]) is float and type(value) is int:
-                            value = float(value)
-                        F[index] = value
-                        tracer = R.tracer
-                        if tracer is not None:
-                            tracer.on_assign(method, name, value)
-                        return value
-
-                    return assign_slot
             store = self._compile_store(target)
 
             def assign(F: Frame, R: Runtime) -> Any:
@@ -1744,54 +1250,24 @@ class _MethodCompiler:
         load = self._compile_expr(target)
         value_fn = self._compile_expr(node.value)
         store = self._compile_store(target)
-        if isinstance(target, ast.Name) and operator in ("+", "-", "*"):
-            slot = self._resolve(target.identifier)
-            if slot is not None and slot not in self.checked:
-                cslot: int = slot
-                name = target.identifier
-                method = self.method_name
-
-                def compound_slot(F: Frame, R: Runtime) -> Any:
-                    current = F[cslot]
-                    rhs = value_fn(F, R)
-                    if type(current) is int and type(rhs) is int:
-                        if operator == "+":
-                            value = current + rhs
-                        elif operator == "-":
-                            value = current - rhs
-                        else:
-                            value = current * rhs
-                        if not _INT_MIN <= value <= _INT_MAX:
-                            value = wrap_int(value)
-                        # int current: no float promotion, no narrowing
-                        F[cslot] = value
-                        tracer = R.tracer
-                        if tracer is not None:
-                            tracer.on_assign(method, name, value)
-                        return value
-                    value = _binary_value(operator, current, rhs)
-                    if isinstance(current, int) and not \
-                            isinstance(current, bool) and \
-                            isinstance(value, float):
-                        value = wrap_int(int(value))
-                    if type(current) is float and type(value) is int:
-                        value = float(value)
-                    F[cslot] = value
-                    tracer = R.tracer
-                    if tracer is not None:
-                        tracer.on_assign(method, name, value)
-                    return value
-
-                return compound_slot
+        fast = _INT_FAST.get(operator)
 
         def compound(F: Frame, R: Runtime) -> Any:
             current = load(F, R)
-            value = _binary_value(operator, current, value_fn(F, R))
-            # compound assignment to an int variable narrows the result,
-            # e.g. `int x; x += 1.5` keeps x an int in Java
-            if isinstance(current, int) and not isinstance(current, bool) \
-                    and isinstance(value, float):
-                value = wrap_int(int(value))
+            rhs = value_fn(F, R)
+            if fast is not None and type(current) is int and \
+                    type(rhs) is int:
+                value = fast(current, rhs)
+                if not _INT_MIN <= value <= _INT_MAX:
+                    value = wrap_int(value)
+            else:
+                value = _binary_value(operator, current, rhs)
+                # compound assignment to an int variable narrows the
+                # result, e.g. `int x; x += 1.5` keeps x an int in Java
+                if isinstance(current, int) and \
+                        not isinstance(current, bool) and \
+                        isinstance(value, float):
+                    value = wrap_int(int(value))
             store(F, R, value)
             return value
 
@@ -1959,254 +1435,37 @@ def _char_coerced(fn: ExprFn) -> ExprFn:
     return coerced
 
 
-def _binop_closure(
-    operator: str,
-    left: ExprFn,
-    right: ExprFn,
-    rconst: int | None,
-    left_box: tuple[Any] | None,
-    right_box: tuple[Any] | None,
-) -> ExprFn:
-    """A binary-operator closure with ``int`` fast paths.
+#: ``int``-operand fast paths of the binary operators, by family: ``+ - *``
+#: wrap to 32 bits (the closure's range check), ``/ %`` truncate with
+#: Java's sign rules, and comparisons are exact.  Any other operand types
+#: or operators take :func:`_binary_value`.
+_INT_FAST: dict[str, Callable[[int, int], Any]] = {
+    "+": add, "-": sub, "*": mul,
+    "/": java_div, "%": java_rem,
+    "<": lt, "<=": le, ">": gt, ">=": ge, "==": eq, "!=": ne,
+}
 
-    Every fast path computes exactly what :func:`_binary_value` would;
+
+def _binop_closure(op: str, left: ExprFn, right: ExprFn) -> ExprFn:
+    """A binary-operator closure with the ``int`` fast path of its table.
+
+    The fast path computes exactly what :func:`_binary_value` would for
+    two ``int`` operands (``bool`` is excluded by the exact type test);
     anything else falls through to it, so semantics cannot drift.
     """
-    if operator == "+":
-        if rconst is not None:
-            def add_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    result = value + rconst
-                    if _INT_MIN <= result <= _INT_MAX:
-                        return result
-                    return wrap_int(result)
-                return _binary_value("+", value, rconst)
+    fast = _INT_FAST.get(op)
 
-            return add_const
-        if left_box is not None and type(left_box[0]) is str:
-            prefix_text = left_box[0]
+    def binop(F: Frame, R: Runtime) -> Any:
+        lhs = left(F, R)
+        rhs = right(F, R)
+        if fast is not None and type(lhs) is int and type(rhs) is int:
+            result = fast(lhs, rhs)
+            if _INT_MIN <= result <= _INT_MAX:
+                return result
+            return wrap_int(result)
+        return _binary_value(op, lhs, rhs)
 
-            def concat_left(F: Frame, R: Runtime) -> Any:
-                return prefix_text + java_str(right(F, R))
-
-            return concat_left
-        if right_box is not None and type(right_box[0]) is str:
-            suffix_text = right_box[0]
-
-            def concat_right(F: Frame, R: Runtime) -> Any:
-                return java_str(left(F, R)) + suffix_text
-
-            return concat_right
-
-        def add(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                result = lhs + rhs
-                if _INT_MIN <= result <= _INT_MAX:
-                    return result
-                return wrap_int(result)
-            if type(lhs) is str and type(rhs) is str:
-                return lhs + rhs
-            return _binary_value("+", lhs, rhs)
-
-        return add
-    if operator == "-":
-        if rconst is not None:
-            def sub_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    result = value - rconst
-                    if _INT_MIN <= result <= _INT_MAX:
-                        return result
-                    return wrap_int(result)
-                return _binary_value("-", value, rconst)
-
-            return sub_const
-
-        def sub(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                result = lhs - rhs
-                if _INT_MIN <= result <= _INT_MAX:
-                    return result
-                return wrap_int(result)
-            return _binary_value("-", lhs, rhs)
-
-        return sub
-    if operator == "*":
-        if rconst is not None:
-            def mul_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    result = value * rconst
-                    if _INT_MIN <= result <= _INT_MAX:
-                        return result
-                    return wrap_int(result)
-                return _binary_value("*", value, rconst)
-
-            return mul_const
-
-        def mul(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                result = lhs * rhs
-                if _INT_MIN <= result <= _INT_MAX:
-                    return result
-                return wrap_int(result)
-            return _binary_value("*", lhs, rhs)
-
-        return mul
-    if operator == "/":
-        if rconst is not None:
-            def div_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    return java_div(value, rconst)
-                return _binary_value("/", value, rconst)
-
-            return div_const
-
-        def div(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                return java_div(lhs, rhs)
-            return _binary_value("/", lhs, rhs)
-
-        return div
-    if operator == "%":
-        if rconst is not None:
-            def rem_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    return java_rem(value, rconst)
-                return _binary_value("%", value, rconst)
-
-            return rem_const
-
-        def rem(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                return java_rem(lhs, rhs)
-            return _binary_value("%", lhs, rhs)
-
-        return rem
-    if operator in ("<", "<=", ">", ">="):
-        if rconst is not None:
-            if operator == "<":
-                def lt_const(F: Frame, R: Runtime) -> Any:
-                    value = left(F, R)
-                    if type(value) is int:
-                        return value < rconst
-                    return _binary_value("<", value, rconst)
-
-                return lt_const
-            if operator == "<=":
-                def le_const(F: Frame, R: Runtime) -> Any:
-                    value = left(F, R)
-                    if type(value) is int:
-                        return value <= rconst
-                    return _binary_value("<=", value, rconst)
-
-                return le_const
-            if operator == ">":
-                def gt_const(F: Frame, R: Runtime) -> Any:
-                    value = left(F, R)
-                    if type(value) is int:
-                        return value > rconst
-                    return _binary_value(">", value, rconst)
-
-                return gt_const
-
-            def ge_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    return value >= rconst
-                return _binary_value(">=", value, rconst)
-
-            return ge_const
-        if operator == "<":
-            def lt(F: Frame, R: Runtime) -> Any:
-                lhs = left(F, R)
-                rhs = right(F, R)
-                if type(lhs) is int and type(rhs) is int:
-                    return lhs < rhs
-                return _binary_value("<", lhs, rhs)
-
-            return lt
-        if operator == "<=":
-            def le(F: Frame, R: Runtime) -> Any:
-                lhs = left(F, R)
-                rhs = right(F, R)
-                if type(lhs) is int and type(rhs) is int:
-                    return lhs <= rhs
-                return _binary_value("<=", lhs, rhs)
-
-            return le
-        if operator == ">":
-            def gt(F: Frame, R: Runtime) -> Any:
-                lhs = left(F, R)
-                rhs = right(F, R)
-                if type(lhs) is int and type(rhs) is int:
-                    return lhs > rhs
-                return _binary_value(">", lhs, rhs)
-
-            return gt
-
-        def ge(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                return lhs >= rhs
-            return _binary_value(">=", lhs, rhs)
-
-        return ge
-    if operator == "==":
-        if rconst is not None:
-            def eq_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    return value == rconst
-                return _java_equals(value, rconst)
-
-            return eq_const
-
-        def eq(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                return lhs == rhs
-            return _java_equals(lhs, rhs)
-
-        return eq
-    if operator == "!=":
-        if rconst is not None:
-            def ne_const(F: Frame, R: Runtime) -> Any:
-                value = left(F, R)
-                if type(value) is int:
-                    return value != rconst
-                return not _java_equals(value, rconst)
-
-            return ne_const
-
-        def ne(F: Frame, R: Runtime) -> Any:
-            lhs = left(F, R)
-            rhs = right(F, R)
-            if type(lhs) is int and type(rhs) is int:
-                return lhs != rhs
-            return not _java_equals(lhs, rhs)
-
-        return ne
-
-    def generic(F: Frame, R: Runtime) -> Any:
-        return _binary_value(operator, left(F, R), right(F, R))
-
-    return generic
+    return binop
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ Historically this module *was* the interpreter — a tree-walker that
 re-dispatched on AST node types for every step.  The execution engine now
 lives in :mod:`repro.interp.compiler`, which lowers each parsed method
 once into nested Python closures (slot-indexed frames, sentinel-return
-control flow, fused statement chains, specialized expression closures)
-and caches the compiled program per unique source.  This module keeps
+control flow, one closure per construct) and caches the compiled
+program per unique source.  This module keeps
 the stable public surface — :class:`Interpreter`, :class:`ExecutionResult`,
 :func:`run_method` — unchanged for callers, plus two additions: a
 ``cache_key`` to share compiled programs across separate parses of the

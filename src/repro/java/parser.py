@@ -51,6 +51,14 @@ _PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
 
 _UNARY_PREFIX = frozenset({"+", "-", "!", "~"})
 
+#: Deepest nesting a submission may reach.  Each statement, (sub)expression,
+#: unary prefix or cast, array-initializer brace, and each link of a
+#: left-associative binary or postfix chain counts as one level, so the
+#: count bounds the AST depth.  Deeper input raises a positioned
+#: :class:`~repro.errors.JavaSyntaxError`, a cacheable ``parse-error``,
+#: instead of a RecursionError here or in any later recursive pass.
+MAX_DEPTH = 100
+
 
 class Parser:
     """Parses a token stream produced by :mod:`repro.java.lexer`."""
@@ -58,6 +66,12 @@ class Parser:
     def __init__(self, source: str):
         self._tokens = tokenize(source)
         self._pos = 0
+        #: open nesting levels, and the deepest level the operand being
+        #: parsed has reached.  Every operand starts with _peak == _depth
+        #: (_parse_assignment and _parse_binary reset it), so an
+        #: operand's height is how far _peak rose while parsing it.
+        self._depth = 0
+        self._peak = 0
 
     # ------------------------------------------------------------------
     # token helpers
@@ -111,6 +125,31 @@ class Parser:
     def _error(self, message: str) -> JavaSyntaxError:
         token = self._peek()
         return JavaSyntaxError(message, token.line, token.column)
+
+    def _too_deep(self) -> JavaSyntaxError:
+        return self._error(f"nesting deeper than {MAX_DEPTH} levels")
+
+    def _enter(self) -> None:
+        """Open one nesting level (the caller closes it on success)."""
+        depth = self._depth + 1
+        if depth > MAX_DEPTH:
+            raise self._too_deep()
+        self._depth = depth
+        if depth > self._peak:
+            self._peak = depth
+
+    def _link(self, base: int, height: int) -> int:
+        """Add one link to a left-deep chain rooted at depth ``base``.
+
+        The chain's AST grows one level per link, so no recursion depth
+        shows it: ``height`` is the chain's height so far, and the
+        operand just parsed reached ``self._peak``.  Returns the new
+        height.
+        """
+        height = max(height, self._peak - base) + 1
+        if base + height > MAX_DEPTH:
+            raise self._too_deep()
+        return height
 
     # ------------------------------------------------------------------
     # top level
@@ -285,21 +324,23 @@ class Parser:
 
     def _parse_statement(self) -> ast.Statement:
         token = self._tokens[self._pos]
-        if token.type in _STRUCTURAL:
-            handler = _STATEMENT_DISPATCH.get(token.value)
-            if handler is not None:
-                statement = handler(self)
-                # non-field attribute (like the printer/EPDG memo slots):
-                # dataclass equality and fields() stay untouched, so
-                # differential tests against position-less ASTs still pass
-                statement.position = (token.line, token.column)
-                return statement
-        if self._at_type_start():
+        self._enter()
+        handler = (
+            _STATEMENT_DISPATCH.get(token.value)
+            if token.type in _STRUCTURAL else None
+        )
+        if handler is not None:
+            statement = handler(self)
+        elif self._at_type_start():
             statement = self._parse_local_var_decl()
             self._expect(";")
         else:
             statement = ast.ExpressionStatement(self._parse_expression())
             self._expect(";")
+        self._depth -= 1
+        # non-field attribute (like the printer/EPDG memo slots):
+        # dataclass equality and fields() stay untouched, so
+        # differential tests against position-less ASTs still pass
         statement.position = (token.line, token.column)
         return statement
 
@@ -394,7 +435,7 @@ class Parser:
         self._expect("for")
         self._expect("(")
         # enhanced for: `for (Type name : expr)`
-        checkpoint = self._pos
+        checkpoint = self._pos, self._depth, self._peak
         if self._at_type_start() or (
             self._peek().type is TokenType.KEYWORD
             and self._peek().value in PRIMITIVE_TYPES
@@ -409,7 +450,7 @@ class Parser:
                     return ast.ForEach(item_type, name, iterable, body)
             except JavaSyntaxError:
                 pass
-            self._pos = checkpoint
+            self._pos, self._depth, self._peak = checkpoint
         init: list[ast.Statement] = []
         if not self._check(";"):
             if self._at_type_start():
@@ -466,12 +507,20 @@ class Parser:
         return self._parse_assignment()
 
     def _parse_assignment(self) -> ast.Expression:
+        outer_peak = self._peak
+        depth = self._depth + 1
+        if depth > MAX_DEPTH:
+            raise self._too_deep()
+        self._depth = self._peak = depth
         left = self._parse_ternary()
         token = self._tokens[self._pos]
         if token.type is TokenType.OPERATOR and token.value in _ASSIGN_OPERATORS:
             self._pos += 1
             value = self._parse_assignment()
-            return ast.Assignment(target=left, operator=token.value, value=value)
+            left = ast.Assignment(target=left, operator=token.value, value=value)
+        self._depth = depth - 1
+        if outer_peak > self._peak:
+            self._peak = outer_peak
         return left
 
     def _parse_ternary(self) -> ast.Expression:
@@ -486,7 +535,9 @@ class Parser:
         return condition
 
     def _parse_binary(self, min_precedence: int) -> ast.Expression:
+        base = self._depth
         left = self._parse_unary()
+        height = self._peak - base
         tokens = self._tokens
         get_precedence = _BINARY_PRECEDENCE.get
         while True:
@@ -496,19 +547,25 @@ class Parser:
                 operator = token.value
                 precedence = get_precedence(operator)
                 if precedence is None or precedence < min_precedence:
-                    return left
+                    break
                 self._pos += 1
+                self._peak = base
                 right = self._parse_binary(precedence + 1)
+                height = self._link(base, height)
                 left = ast.Binary(operator, left, right)
                 continue
             if token_type is TokenType.KEYWORD and token.value == "instanceof":
                 if _BINARY_PRECEDENCE["instanceof"] < min_precedence:
-                    return left
+                    break
                 self._pos += 1
                 right_type = self._parse_type()
+                self._peak = base
+                height = self._link(base, height)
                 left = ast.Binary("instanceof", left, ast.Name(str(right_type)))
                 continue
-            return left
+            break
+        self._peak = base + height
+        return left
 
     def _parse_unary(self) -> ast.Expression:
         token = self._tokens[self._pos]
@@ -516,7 +573,9 @@ class Parser:
             operator = token.value
             if operator in _UNARY_PREFIX:
                 self._pos += 1
+                self._enter()
                 operand = self._parse_unary()
+                self._depth -= 1
                 # Fold unary minus into negative literals so `-1` renders as
                 # a single literal, matching how instructors write patterns.
                 if (
@@ -528,7 +587,9 @@ class Parser:
                 return ast.Unary(operator, operand, prefix=True)
             if operator == "++" or operator == "--":
                 self._pos += 1
+                self._enter()
                 operand = self._parse_unary()
+                self._depth -= 1
                 return ast.Unary(operator, operand, prefix=True)
         elif (
             token.type is TokenType.SEPARATOR
@@ -538,7 +599,9 @@ class Parser:
             self._pos += 1
             cast_type = self._parse_type()
             self._expect(")")
+            self._enter()
             expression = self._parse_unary()
+            self._depth -= 1
             return ast.Cast(cast_type, expression)
         return self._parse_postfix()
 
@@ -559,7 +622,9 @@ class Parser:
         return False
 
     def _parse_postfix(self) -> ast.Expression:
+        base = self._depth
         expression = self._parse_primary()
+        height = self._peak - base
         tokens = self._tokens
         while True:
             token = tokens[self._pos]
@@ -573,19 +638,24 @@ class Parser:
                         expression = ast.MethodCall(expression, name, arguments)
                     else:
                         expression = ast.FieldAccess(expression, name)
+                    height = self._link(base, height)
                     continue
                 if token.value == "[":
                     self._pos += 1
                     index = self._parse_expression()
                     self._expect("]")
                     expression = ast.ArrayAccess(expression, index)
+                    height = self._link(base, height)
                     continue
-                return expression
+                break
             if token_type is TokenType.OPERATOR and token.value in ("++", "--"):
                 self._pos += 1
                 expression = ast.Unary(token.value, expression, prefix=False)
+                height = self._link(base, height)
                 continue
-            return expression
+            break
+        self._peak = base + height
+        return expression
 
     def _parse_arguments(self) -> list[ast.Expression]:
         self._expect("(")
@@ -599,6 +669,7 @@ class Parser:
 
     def _parse_array_initializer(self) -> ast.ArrayInitializer:
         self._expect("{")
+        self._enter()
         elements: list[ast.Expression] = []
         if not self._check("}"):
             while True:
@@ -609,6 +680,7 @@ class Parser:
                 if not self._match(","):
                     break
         self._expect("}")
+        self._depth -= 1
         return ast.ArrayInitializer(elements)
 
     def _parse_primary(self) -> ast.Expression:

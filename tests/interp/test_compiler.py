@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.analysis.perf.static import method_loops
 from repro.instrumentation import collecting
 from repro.interp import (
     Interpreter,
@@ -14,7 +17,8 @@ from repro.interp import (
 from repro.interp.compiler import _ProgramCache
 from repro.java import parse_submission
 from repro.testing.functional import run_tests_on_source
-from repro.kb import get_assignment
+from repro.kb import all_assignment_names, get_assignment
+from repro.synth.generator import sample_submissions
 
 SOURCE = """
 int sumTo(int n) {
@@ -137,3 +141,43 @@ class TestNullTracerFastPath:
         assert plain.return_value == traced.return_value == 21
         assert plain.steps == traced.steps
         assert tracer.variable_trace("total")[-1] == 21
+
+
+class TestLoopIds:
+    """Runtime loop ids must join the perf analyzer's static loop table."""
+
+    DEAD_ELSE = """
+    int f(int n) {
+        int t = 0;
+        if (true) { t = 1; } else { while (n > 0) { n--; } }
+        for (int i = 0; i < n; i++) { t = t + i; }
+        return t;
+    }
+    """
+
+    @staticmethod
+    def _assert_ids_match(source):
+        unit = parse_submission(source)
+        static = [
+            info.loop_id
+            for loops in method_loops(unit).values()
+            for info in loops
+        ]
+        assert compile_unit(unit).loop_ids == static, source
+
+    def test_dead_else_branch_keeps_its_loop_ids(self):
+        self._assert_ids_match(self.DEAD_ELSE)
+        cost = run_method(parse_submission(self.DEAD_ELSE), "f", [3]).cost
+        assert cost.loop_iterations == {"f:while@0": 0, "f:for@1": 3}
+
+    @pytest.mark.parametrize("name", all_assignment_names())
+    def test_kb_references_and_synth_samples(self, name):
+        assignment = get_assignment(name)
+        sources = list(assignment.reference_solutions) + [
+            submission.source
+            for submission in sample_submissions(
+                assignment.space(), 24, seed=3
+            )
+        ]
+        for source in sources:
+            self._assert_ids_match(source)
