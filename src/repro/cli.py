@@ -15,7 +15,7 @@ Usage::
     repro store info cache/
     repro repair corpus build assignment1 --cache-dir cache/
     repro repair corpus info assignment1 --cache-dir cache/
-    repro serve --port 8652 --workers 4 [--cluster] [--shards 4]
+    repro serve --port 8652 --workers 4 [--cluster]
     repro lint-kb [assignment ...] [--json -] [--fail-on error]
     repro test assignment1 Submission.java
     repro epdg assignment1 Submission.java [--dot]
@@ -366,23 +366,6 @@ def _cmd_serve(args) -> int:
     if args.workers is not None:
         config.workers = max(1, args.workers)
 
-    if args.shards > 1:
-        from repro.serve.router import ShardRouter
-
-        router = ShardRouter(config, shards=args.shards)
-
-        async def run_router() -> int:
-            await router.start()
-            print(
-                f"repro shard router on http://{config.host}:{router.port} "
-                f"({args.shards} shards x {config.workers} "
-                f"{config.pool_mode} workers)",
-                flush=True,
-            )
-            return await router.serve_forever()
-
-        return asyncio.run(run_router())
-
     service = GradingService(config)
 
     async def run() -> int:
@@ -716,10 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["auto", "json", "sqlite"], default="auto",
                        help="on-disk representation for --cache-dir "
                             "(default auto)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="run N grading service processes behind a "
-                            "consistent-hash router (default 1: a "
-                            "single in-process service)")
     serve.add_argument("--cluster", action="store_true",
                        help="bucket structurally duplicate submissions "
                             "per worker and specialize one "

@@ -99,11 +99,11 @@ class SourcePrint:
 def _normalize_number(kind: str, text: str) -> str:
     """The spelling-independent value of a numeric literal token.
 
-    Mirrors the parser exactly (``repro/java/parser.py``): underscores
-    are insignificant, hex collapses to decimal, type suffixes drop, and
-    doubles canonicalize through ``float``.  A spelling the parser would
-    reject hashes verbatim (prefixed to stay injective), so submissions
-    that fail identically still bucket together.
+    Follows the parser (``repro/java/parser.py``): underscores are
+    insignificant, hex collapses to decimal, type suffixes drop, and
+    doubles canonicalize through ``float``.  Octal and malformed
+    spellings hash verbatim (prefixed to stay injective): never coarser
+    than the parser's values, so bucketing stays sound.
     """
     try:
         if kind == "int":

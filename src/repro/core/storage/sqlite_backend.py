@@ -7,8 +7,8 @@ corruption-as-miss semantics — on a single database shared by every
 assignment and KB version pointed at the same root:
 
 * **WAL mode** — readers never block the writer and the writer never
-  blocks readers, so N serve shards and a campaign runner can share one
-  database without a coordinator.  ``synchronous=NORMAL`` keeps
+  blocks readers, so a grading service and a campaign runner can share
+  one database without a coordinator.  ``synchronous=NORMAL`` keeps
   durability at the WAL-checkpoint level, which is the right trade for
   a cache that can always be regraded.
 * **Batched transactional writes** — ``batch()`` wraps a block's writes
@@ -18,7 +18,7 @@ assignment and KB version pointed at the same root:
 * **Connection-per-process/thread** — SQLite connections cannot cross
   ``fork`` or threads; the backend lazily opens one connection per
   ``(pid, thread)`` and discards inherited ones, so the batch
-  pipeline's process workers and the serve shards each get their own.
+  pipeline's process workers and the service workers each get their own.
 * **Corruption degrades to misses** — a corrupted database image or
   ``-wal`` sidecar makes reads raise inside SQLite; every exception is
   swallowed into a miss (and every failed write into ``False``), never

@@ -9,6 +9,8 @@ for the subset we accept.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import JavaSyntaxError
 from repro.java import ast
 from repro.java.lexer import Token, TokenType, tokenize
@@ -49,6 +51,14 @@ _STRUCTURAL = frozenset(
 
 _PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
 
+#: Numeric literal token type → its :class:`~repro.java.ast.Literal`
+#: kind and the type-suffix letters its spelling may end in.
+_NUMBER_KINDS = {
+    TokenType.INT_LITERAL: ("int", ""),
+    TokenType.LONG_LITERAL: ("long", "lL"),
+    TokenType.DOUBLE_LITERAL: ("double", "dDfF"),
+}
+
 _UNARY_PREFIX = frozenset({"+", "-", "!", "~"})
 
 #: Deepest nesting a submission may reach.  Each statement, (sub)expression,
@@ -58,6 +68,33 @@ _UNARY_PREFIX = frozenset({"+", "-", "!", "~"})
 #: :class:`~repro.errors.JavaSyntaxError`, a cacheable ``parse-error``,
 #: instead of a RecursionError here or in any later recursive pass.
 MAX_DEPTH = 100
+
+
+def _number_literal(token: Token) -> ast.Literal:
+    """The value of a numeric literal token, read as Java reads it.
+
+    A leading zero makes an integer octal (``010`` is 8); underscores
+    are insignificant.  Malformed octal (``09``), a hex prefix without
+    digits (``0x``) and a double that overflows (``1e999``) are
+    positioned syntax errors, as ``javac`` rejects them too.
+    """
+    kind, suffixes = _NUMBER_KINDS[token.type]
+    digits = token.value.rstrip(suffixes).replace("_", "")
+    try:
+        if kind == "double":
+            value = float(digits)
+            if math.isinf(value):
+                raise ValueError(digits)
+        elif digits[:2] in ("0x", "0X"):
+            value = int(digits[2:], 16)
+        else:
+            value = int(digits, 8 if digits[0] == "0" else 10)
+    except ValueError:
+        raise JavaSyntaxError(
+            f"malformed {kind} literal {token.value!r}",
+            token.line, token.column,
+        ) from None
+    return ast.Literal(value, kind)
 
 
 class Parser:
@@ -704,19 +741,9 @@ class Parser:
             if token.value == "this":
                 self._pos += 1
                 return ast.Name("this")
-        elif token_type is TokenType.INT_LITERAL:
+        elif token_type in _NUMBER_KINDS:
             self._pos += 1
-            return ast.Literal(int(token.value.replace("_", ""), 0), "int")
-        elif token_type is TokenType.LONG_LITERAL:
-            self._pos += 1
-            return ast.Literal(
-                int(token.value.rstrip("lL").replace("_", ""), 0), "long"
-            )
-        elif token_type is TokenType.DOUBLE_LITERAL:
-            self._pos += 1
-            return ast.Literal(
-                float(token.value.rstrip("dDfF").replace("_", "")), "double"
-            )
+            return _number_literal(token)
         elif token_type is TokenType.STRING_LITERAL:
             self._pos += 1
             return ast.Literal(token.value, "string")

@@ -24,7 +24,6 @@ from repro.serve.metrics import (
     render_prometheus,
 )
 from repro.serve.pool import GradingWorkerPool, PoolResult
-from repro.serve.router import HashRing, ShardRouter
 from repro.serve.server import GradingService, ServiceConfig
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "CircuitBreaker",
     "GradingService",
     "GradingWorkerPool",
-    "HashRing",
     "HttpError",
     "HttpRequest",
     "HttpResponse",
@@ -42,6 +40,5 @@ __all__ = [
     "PoolResult",
     "ServiceConfig",
     "ServiceMetrics",
-    "ShardRouter",
     "render_prometheus",
 ]

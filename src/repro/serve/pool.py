@@ -232,14 +232,16 @@ class _WorkerHandle:
             if self.conn.poll(hard_timeout):
                 report, collector, seconds = self.conn.recv()
                 return PoolResult(report, collector, seconds), False
-        except (BrokenPipeError, EOFError, OSError):
+        except Exception as exc:  # noqa: BLE001 - never reuse this handle
+            # the exchange did not complete: the pipe may still hold the
+            # lost job's reply, which the next job would read as its own
             self.terminate()
             elapsed = time.perf_counter() - started
             return (
                 PoolResult(
                     GradingReport(
                         assignment_name=assignment_name,
-                        error="grading worker died unexpectedly",
+                        error=f"grading worker lost: {exc!r}",
                     ),
                     None,
                     elapsed,

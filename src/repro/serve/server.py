@@ -31,6 +31,7 @@ work finishes, workers shut down.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import re
 import signal
@@ -89,8 +90,8 @@ class ServiceConfig:
     #: Store representation for ``cache_dir``: ``"auto"`` (default;
     #: picks SQLite when the directory holds a ``store.sqlite``, which
     #: is what ``repro store migrate`` leaves behind), ``"json"``, or
-    #: ``"sqlite"``.  SQLite is the right choice when several service
-    #: shards share one cache directory.
+    #: ``"sqlite"``.  SQLite is the right choice when other processes
+    #: (a batch run, a campaign) share the cache directory.
     store_backend: str = "auto"
     #: Grade via submission clustering (:mod:`repro.cluster`): each
     #: worker buckets structurally duplicate submissions and
@@ -181,16 +182,13 @@ class GradingService:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(
-        self, install_signal_handlers: bool = True
-    ) -> int:
+    async def serve_forever(self) -> int:
         """Run until a drain is requested; returns a process exit code."""
         if self._server is None:
             await self.start()
-        if install_signal_handlers:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self.request_drain)
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, self.request_drain)
         await self._drain_requested.wait()
         clean = await self.drain()
         return 0 if clean else 1
@@ -500,16 +498,14 @@ class GradingService:
         raw = payload.get(
             "deadline_seconds", self.config.default_deadline_seconds
         )
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool) \
-                or raw <= 0:
-            raise HttpError(400, "'deadline_seconds' must be > 0")
+        if not _finite_number(raw) or raw <= 0:
+            raise HttpError(400, "'deadline_seconds' must be finite and > 0")
         return min(float(raw), self.config.max_deadline_seconds)
 
     def _debug_sleep_from(self, payload: dict) -> float:
         raw = payload.get("debug_sleep_seconds", 0)
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool) \
-                or raw < 0:
-            raise HttpError(400, "'debug_sleep_seconds' must be >= 0")
+        if not _finite_number(raw) or raw < 0:
+            raise HttpError(400, "'debug_sleep_seconds' must be finite, >= 0")
         if raw and not self.config.debug_hooks:
             raise HttpError(
                 400, "'debug_sleep_seconds' requires --debug-hooks"
@@ -532,6 +528,15 @@ class GradingService:
             },
             status=_REPORT_HTTP_STATUS.get(report.status, 200),
         )
+
+
+def _finite_number(raw: object) -> bool:
+    """Whether a JSON field is a finite number (``json`` also accepts
+    ``NaN``, ``Infinity`` and integers too large for a float)."""
+    try:
+        return not isinstance(raw, bool) and math.isfinite(raw)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _error_response(error: HttpError) -> HttpResponse:

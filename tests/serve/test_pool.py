@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core.pipeline import BatchGrader
 from repro.serve import GradingWorkerPool
 
 
@@ -153,6 +154,34 @@ class TestProcessMode:
         assert broken.report.status == "error"
         assert healthy.report.status == "ok"
         assert respawns == 0
+
+    def test_failed_exchange_never_leaves_a_stale_reply(
+        self, assignment1, good_source
+    ):
+        other = good_source.replace("int odd = 0;", "int odd = 1;")
+        assert other != good_source
+
+        async def go():
+            pool = GradingWorkerPool(workers=1, mode="process")
+            await pool.start()
+            try:
+                # a NaN deadline makes the parent's pipe poll raise after
+                # the job was sent; the worker still answers it
+                lost = await pool.grade(
+                    "assignment1", good_source, float("nan")
+                )
+                after = await pool.grade("assignment1", other, 30.0)
+            finally:
+                await pool.stop()
+            return lost, after, pool.respawns
+
+        lost, after, respawns = run(go())
+        assert lost.report.status == "error"
+        assert respawns == 1
+        expected = BatchGrader(assignment1, cache=False).grade_batch(
+            [other]
+        ).reports[0]
+        assert after.report.to_dict() == expected.to_dict()
 
     def test_cooperative_deadline_returns_timeout_without_kill(
         self, good_source

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.core.pipeline import BatchGrader
+from repro.core.pipeline import BatchGrader, source_key
+from repro.core.storage import ResultStore
 from tests.serve.conftest import (
     grade_call,
     http_call,
@@ -131,11 +132,14 @@ class TestGrading:
         assert second[1]["from_cache"] is True
         assert second[1]["report"] == first[1]["report"]
 
+    @pytest.mark.parametrize("store_backend", ["json", "sqlite"])
     def test_persistent_cache_survives_a_service_restart(
-        self, good_source, tmp_path
+        self, assignment1, good_source, tmp_path, store_backend
     ):
         async def serve_once():
-            async with running_service(cache_dir=tmp_path) as service:
+            async with running_service(
+                cache_dir=tmp_path, store_backend=store_backend
+            ) as service:
                 status, payload = await grade_call(
                     service, "assignment1", {"source": good_source}
                 )
@@ -150,6 +154,11 @@ class TestGrading:
         assert first[1]["from_cache"] is False
         assert second[1]["from_cache"] is True
         assert second[1]["report"] == first[1]["report"]
+        # the report landed in the store, under the content key
+        record = ResultStore(
+            tmp_path, assignment1, backend=store_backend
+        ).get(source_key(good_source))
+        assert record.to_dict() == first[1]["report"]
         assert first[2].get("cache.store_writes") == 1
         assert second[2].get("cache.store_hits") == 1
         # the warm service never parsed or matched anything
@@ -214,6 +223,10 @@ class TestGrading:
                     service, "assignment1",
                     {"source": good_source, "deadline_seconds": 0},
                 )
+                results["nan_deadline"] = await grade_call(
+                    service, "assignment1",
+                    {"source": good_source, "deadline_seconds": float("nan")},
+                )
                 results["bad_json"] = await http_call(
                     host, port, "POST",
                     "/assignments/assignment1/grade", raw_body=b"{nope",
@@ -225,6 +238,7 @@ class TestGrading:
         assert results["empty_source"][0] == 400
         assert results["bad_label"][0] == 400
         assert results["bad_deadline"][0] == 400
+        assert results["nan_deadline"][0] == 400
         assert results["bad_json"][0] == 400
 
     def test_debug_sleep_requires_debug_hooks(self, good_source):
