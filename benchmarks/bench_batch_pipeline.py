@@ -9,7 +9,7 @@ the 30% a real MOOC easily exceeds) and compares three configurations:
 
 * ``serial``            — no cache, one submission at a time (baseline)
 * ``serial+cache``      — dedupe/replay only
-* ``parallel+cache``    — thread pool on top of the cache
+* ``parallel+cache``    — process pool on top of the cache
 
 asserting that parallel+cache achieves >= 2x the serial throughput and
 that its reports are byte-identical to the serial baseline's.
@@ -76,7 +76,7 @@ def run_comparison(assignment_name="assignment1", size=240, workers=4,
     configs = [
         ("serial", dict(mode="serial", cache=False)),
         ("serial+cache", dict(mode="serial", cache=True)),
-        ("parallel+cache", dict(mode="thread", workers=workers, cache=True)),
+        ("parallel+cache", dict(mode="process", workers=workers, cache=True)),
     ]
     rows = [run_config(assignment, cohort, label, **kwargs)
             for label, kwargs in configs]
@@ -153,7 +153,7 @@ def test_all_modes_byte_identical():
         for label, kwargs in [
             ("serial", dict(mode="serial", cache=False)),
             ("cache", dict(mode="serial", cache=True)),
-            ("thread", dict(mode="thread", workers=4, cache=True)),
+            ("process", dict(mode="process", workers=2, cache=True)),
         ]
     ]
     assert outputs[0] == outputs[1] == outputs[2]

@@ -15,8 +15,8 @@ Two workloads exercise the two optimization layers:
 * ``kb_standard`` — all twelve knowledge-base assignments grading their
   own reference solutions with headers enforced (the common MOOC
   configuration).  Here assignment search is trivial, so the win comes
-  from Algorithm 1: compiled search plans, degree/arity pruning over
-  indexed EPDGs, and the engine-level match cache.  The naive baseline is
+  from Algorithm 1: compiled search plans and degree/arity pruning over
+  indexed EPDGs.  The naive baseline is
   the paper-literal path (``strategy="permutation"``, ``order="naive"``);
   scores and comment statuses must agree exactly, and the render must be
   byte-identical to the same-order permutation path (variable bindings —
@@ -25,7 +25,7 @@ Two workloads exercise the two optimization layers:
 
 Results are written to ``BENCH_matcher.json`` at the repository root,
 including the matcher's instrumentation counters (candidates pruned,
-nodes visited, cache hits) for the optimized runs.
+nodes visited) for the optimized runs.
 
 Run standalone (CI smoke-tests ``--quick``)::
 

@@ -39,7 +39,7 @@ def build_cohort(assignment, size: int, seed: int = 42):
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "assignment1"
     cohort_size = int(sys.argv[2]) if len(sys.argv) > 2 else 300
-    mode = sys.argv[3] if len(sys.argv) > 3 else "thread"
+    mode = sys.argv[3] if len(sys.argv) > 3 else "serial"
 
     assignment = get_assignment(name)
     cohort = build_cohort(assignment, cohort_size)

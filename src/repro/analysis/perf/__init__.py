@@ -35,7 +35,6 @@ from repro.analysis.perf.static import (
     StaticFinding,
     detect_patterns,
     method_loops,
-    render_expr,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "get_perf_pattern",
     "method_loops",
     "perf_analysis_fingerprint",
-    "render_expr",
 ]

@@ -32,7 +32,7 @@ from repro.analysis.diagnostics import Severity
 
 #: Bumped whenever detector logic or feedback templates change meaning;
 #: folded into the store fingerprint so stale entries never replay.
-PERF_VERSION = 1
+PERF_VERSION = 2
 
 
 class CostShape(enum.Enum):

@@ -31,6 +31,7 @@ from repro.analysis.perf.model import (
     STRING_CONCAT_IN_LOOP,
 )
 from repro.java import ast
+from repro.java.printer import print_expression
 from repro.pdg.expressions import defined_variables, used_variables
 
 #: Loop-bound classifications, from cheapest to least predictable.
@@ -361,58 +362,6 @@ def _writes(expression: ast.Expression, name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# expression rendering (snippets and the {probe} placeholder)
-
-def render_expr(node: ast.Expression) -> str:
-    """Compact Java-ish rendering of an expression for feedback text."""
-    if isinstance(node, ast.Literal):
-        if node.value is True:
-            return "true"
-        if node.value is False:
-            return "false"
-        if node.value is None:
-            return "null"
-        if node.kind == "string":
-            return f'"{node.value}"'
-        if node.kind == "char":
-            return f"'{node.value}'"
-        return str(node.value)
-    if isinstance(node, ast.Name):
-        return node.identifier
-    if isinstance(node, ast.FieldAccess):
-        return f"{render_expr(node.target)}.{node.name}"
-    if isinstance(node, ast.ArrayAccess):
-        return f"{render_expr(node.array)}[{render_expr(node.index)}]"
-    if isinstance(node, ast.MethodCall):
-        arguments = ", ".join(render_expr(a) for a in node.arguments)
-        if node.target is not None:
-            return f"{render_expr(node.target)}.{node.name}({arguments})"
-        return f"{node.name}({arguments})"
-    if isinstance(node, ast.Binary):
-        return (
-            f"{render_expr(node.left)} {node.operator} "
-            f"{render_expr(node.right)}"
-        )
-    if isinstance(node, ast.Unary):
-        if node.prefix:
-            return f"{node.operator}{render_expr(node.operand)}"
-        return f"{render_expr(node.operand)}{node.operator}"
-    if isinstance(node, ast.Assignment):
-        return (
-            f"{render_expr(node.target)} {node.operator} "
-            f"{render_expr(node.value)}"
-        )
-    if isinstance(node, ast.Ternary):
-        return (
-            f"{render_expr(node.condition)} ? "
-            f"{render_expr(node.if_true)} : {render_expr(node.if_false)}"
-        )
-    if isinstance(node, ast.Cast):
-        return f"({node.type.name}) {render_expr(node.expression)}"
-    return "..."
-
-
-# ---------------------------------------------------------------------------
 # detectors
 
 def detect_patterns(
@@ -460,10 +409,10 @@ def _detect_nested_lookup(
                 "inner_kind": loop.kind,
                 "outer_var": parent.loop_var,
                 "inner_var": loop.loop_var,
-                "probe": render_expr(probe),
+                "probe": print_expression(probe),
             },
             position=position_of(loop.node),
-            snippet=render_expr(probe),
+            snippet=print_expression(probe),
         )
 
 
@@ -604,7 +553,7 @@ def _detect_string_concat(
                 loop=loop,
                 gamma={"var": name, "kind": loop.kind},
                 position=position_of(statement),
-                snippet=render_expr(expression),
+                snippet=print_expression(expression),
             )
 
 

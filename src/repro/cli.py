@@ -7,7 +7,7 @@ Usage::
     repro grade assignment1 Submission.java
     repro grade assignment1 -            # read the submission from stdin
     repro grade-batch assignment1 submissions/ --stats
-    repro grade-batch assignment1 --synthetic 200 --mode thread --stats
+    repro grade-batch assignment1 --synthetic 200 --mode process --stats
     repro grade-batch assignment1 submissions/ --cluster --stats
     repro grade-campaign assignment1 manifest.jsonl --cache-dir cache/
     repro grade-campaign assignment1 --synthetic 1000000 --cache-dir cache/
@@ -502,12 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--seed", type=int, default=42,
                        help="sampling seed for --synthetic (default 42)")
     batch.add_argument(
-        "--mode", choices=["serial", "thread", "process"], default="serial",
+        "--mode", choices=["serial", "process"], default="serial",
         help="worker model (default serial; results are identical in all "
              "modes)",
     )
     batch.add_argument("--workers", type=int, default=None,
-                       help="pool size for thread/process modes "
+                       help="pool size for process mode "
                             "(default: CPU count)")
     batch.add_argument("--no-cache", action="store_true",
                        help="disable the content-keyed result cache")
@@ -577,11 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="submissions per checkpointed shard "
                                "(default 1000)")
     campaign.add_argument(
-        "--mode", choices=["serial", "thread", "process"], default="serial",
+        "--mode", choices=["serial", "process"], default="serial",
         help="worker model within each shard (default serial)",
     )
     campaign.add_argument("--workers", type=int, default=None,
-                          help="pool size for thread/process modes")
+                          help="pool size for process mode")
     campaign.add_argument("--cluster", action="store_true",
                           help="cluster-aware grading within shards "
                                "(see docs/CLUSTERING.md)")

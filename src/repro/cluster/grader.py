@@ -54,8 +54,7 @@ class ClusterGrader:
     when given, bucket records persist fingerprint-keyed, so a warm run
     specializes every member of a previously seen bucket without a
     single full grade.  Bucket state is guarded by a lock — one
-    instance serves all threads of a batch run, mirroring how the
-    pipeline already shares one engine.
+    instance serves all executor threads of an inline service pool.
     """
 
     def __init__(

@@ -30,7 +30,7 @@ class FeedbackEngine:
 
     The engine's only mutable state is a bounded frontend cache mapping
     source text to its parse/EPDG-build result (guarded by a lock, so a
-    single instance can still be shared across the batch pipeline's worker
+    single instance can still be shared across the inline service pool's
     threads).  MOOC cohorts are duplicate-heavy, so re-submissions and
     copy-paste variants skip the ``parse`` and ``epdg_build`` phases
     entirely; EPDGs are immutable after construction and the matcher only

@@ -18,7 +18,7 @@ Usage — the fields are plain data, so stats can also be built by hand
 (handy for tests and for aggregating across shards):
 
 >>> from repro.core.metrics import PipelineStats
->>> stats = PipelineStats(mode="thread", workers=4)
+>>> stats = PipelineStats(mode="process", workers=4)
 >>> stats.record_submission(cache_hit=False, seconds=0.25)
 >>> stats.record_submission(cache_hit=True)
 >>> stats.record_phase("parse", 0.05)
@@ -33,7 +33,7 @@ Usage — the fields are plain data, so stats can also be built by hand
 >>> sorted(stats.to_dict())[:4]
 ['cache_hit_rate', 'cache_hits', 'counters', 'errors']
 >>> print(stats.summary())
-Pipeline stats (mode=thread, workers=4)
+Pipeline stats (mode=process, workers=4)
   submissions: 2 (1 graded, 1 cache hits, 0 parse errors, 0 timeouts, 0 errors)
   cache hit rate: 50.0%
   throughput: 4.0 submissions/s (wall 0.500 s)

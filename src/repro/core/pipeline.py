@@ -9,10 +9,9 @@ an iterable of submissions against one assignment using
   or resubmitted sources skip parse + EPDG build + matching entirely —
   duplicates inside one batch are graded exactly once, and the cache
   persists across batches of the same grader;
-* a configurable **worker pool** (``mode="serial" | "thread" |
-  "process"``) — serial is fully deterministic and dependency-free,
-  threads share one stateless engine, processes sidestep the GIL for
-  CPU-bound cohorts on multicore hosts;
+* a configurable **worker pool** (``mode="serial" | "process"``) —
+  serial is fully deterministic and dependency-free, processes sidestep
+  the GIL for CPU-bound cohorts on multicore hosts;
 * an **instrumentation layer** (:mod:`repro.core.metrics`) recording
   per-phase wall time, cache hit rate, error counts, and throughput as
   a structured :class:`~repro.core.metrics.PipelineStats`.
@@ -51,7 +50,7 @@ import hashlib
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -68,7 +67,7 @@ from repro.instrumentation import (
 )
 
 #: Supported worker models.
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "process")
 
 #: Report statuses that are deterministic functions of the source text
 #: and therefore safe to cache.  Internal ``error`` reports may be
@@ -306,13 +305,12 @@ class BatchGrader:
     assignment:
         The assignment to grade against.
     mode:
-        ``"serial"`` (deterministic in-process loop, the default),
-        ``"thread"`` (one shared engine across a thread pool), or
+        ``"serial"`` (deterministic in-process loop, the default) or
         ``"process"`` (one engine per worker process; requires the
         assignment to be picklable, which every registry assignment is).
     workers:
-        Pool size for the parallel modes; defaults to the host's CPU
-        count.  Ignored in serial mode.
+        Pool size for process mode; defaults to the host's CPU count.
+        Ignored in serial mode.
     cache:
         ``True`` (default) for a private :class:`ResultCache`, ``False``
         to disable caching, or a :class:`ResultCache` instance to share
@@ -423,9 +421,8 @@ class BatchGrader:
             self.store = self.profile.open_store(
                 store, assignment, store_backend
             )
-        # serial/thread share one grader (a cluster grader's bucket
-        # registry is lock-guarded); process mode builds one per worker
-        # in _init_process_worker
+        # serial mode grades with this grader; process mode builds one
+        # per worker in _init_process_worker
         self.engine = build_grader(assignment, self.profile, self.store)
         self.tiers = (
             TieredCache(self.cache, self.store)
@@ -526,28 +523,11 @@ class BatchGrader:
         results: dict[str, GradingReport] = {}
         if not jobs:
             return results
-        grader = self.engine
         if self.mode == "serial":
             outcomes = (
-                (key, *_grade_one(grader, source, self.max_seconds))
+                (key, *_grade_one(self.engine, source, self.max_seconds))
                 for key, source in jobs
             )
-        elif self.mode == "thread":
-            pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-grade",
-            )
-            with pool:
-                outcomes = list(
-                    pool.map(
-                        lambda job: (
-                            job[0],
-                            *_grade_one(grader, job[1],
-                                        self.max_seconds),
-                        ),
-                        jobs,
-                    )
-                )
         else:  # process
             pool = ProcessPoolExecutor(
                 max_workers=self.workers,
@@ -567,7 +547,7 @@ class BatchGrader:
         # Each outcome carries the child's PhaseCollector back to the
         # parent (it crosses the process boundary by pickle), so the
         # batch snapshot aggregates per-phase timings and matcher
-        # counters identically in all three modes.
+        # counters identically in both modes.
         for key, report, collector, seconds in outcomes:
             results[key] = report
             stats.merge_phases(collector)

@@ -12,8 +12,8 @@ When no collector is installed — the common case for one-off
 ``FeedbackEngine.grade`` calls — :func:`phase` is a no-op costing one
 context-variable read.  The batch pipeline installs a fresh
 :class:`PhaseCollector` per submission via :func:`collecting`, which
-also makes the mechanism safe under thread pools: each worker task
-installs its own collector in its own context.
+also makes the mechanism safe under thread pools (the service's inline
+pool): each worker task installs its own collector in its own context.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 every layer (including :mod:`repro.matching`, which :mod:`repro.core`
@@ -191,8 +191,6 @@ def count(name: str, amount: int = 1) -> None:
     ``match.candidates_pruned``
         Graph nodes removed from the search space Φ by the degree and
         variable-arity filters before the search started.
-    ``match.cache_hits`` / ``match.cache_misses``
-        Engine-level ``match_pattern`` result-cache outcomes.
     ``match.embeddings_truncated``
         Times the :data:`~repro.matching.pattern_matching.MAX_EMBEDDINGS`
         safety valve cut a search short.

@@ -70,31 +70,64 @@ _UNARY_PREFIX = frozenset({"+", "-", "!", "~"})
 MAX_DEPTH = 100
 
 
-def _number_literal(token: Token) -> ast.Literal:
+#: Bit width of each integer literal kind.
+_INTEGER_BITS = {"int": 32, "long": 64}
+
+
+def _number_literal(token: Token, negated: bool = False) -> ast.Literal:
     """The value of a numeric literal token, read as Java reads it.
 
     A leading zero makes an integer octal (``010`` is 8); underscores
-    are insignificant.  Malformed octal (``09``), a hex prefix without
-    digits (``0x``) and a double that overflows (``1e999``) are
-    positioned syntax errors, as ``javac`` rejects them too.
+    are insignificant.  Hex and octal spell a bit pattern of at most 32
+    bits (64 for ``long``), read as two's complement (``0xFFFFFFFF`` is
+    -1).  Decimal spells a magnitude that must fit the type; only the
+    direct operand of unary minus (``negated``) may reach ``2**31``
+    (``2**63``), the magnitude of the minimum value.  Malformed octal
+    (``09``), a hex prefix without digits (``0x``), a double that
+    overflows (``1e999``) and an out-of-range integer are positioned
+    syntax errors, as ``javac`` rejects them too.
     """
     kind, suffixes = _NUMBER_KINDS[token.type]
     digits = token.value.rstrip(suffixes).replace("_", "")
     try:
         if kind == "double":
-            value = float(digits)
+            value: float = float(digits)
             if math.isinf(value):
                 raise ValueError(digits)
-        elif digits[:2] in ("0x", "0X"):
-            value = int(digits[2:], 16)
         else:
-            value = int(digits, 8 if digits[0] == "0" else 10)
+            value = _integer_value(digits, _INTEGER_BITS[kind], negated)
     except ValueError:
         raise JavaSyntaxError(
             f"malformed {kind} literal {token.value!r}",
             token.line, token.column,
         ) from None
+    except OverflowError:
+        raise JavaSyntaxError(
+            f"{kind} literal {token.value!r} is out of range",
+            token.line, token.column,
+        ) from None
     return ast.Literal(value, kind)
+
+
+def _integer_value(digits: str, bits: int, negated: bool) -> int:
+    if digits[:2] in ("0x", "0X"):
+        pattern = int(digits[2:], 16)
+    elif digits[0] == "0":
+        pattern = int(digits, 8)
+    else:
+        value = int(digits)
+        if value > (1 << (bits - 1)) - (0 if negated else 1):
+            raise OverflowError(digits)
+        return value
+    if pattern >> bits:
+        raise OverflowError(digits)
+    return _wrap(pattern, bits)
+
+
+def _wrap(value: int, bits: int) -> int:
+    """``value`` reduced to a ``bits``-bit two's-complement integer."""
+    half = 1 << (bits - 1)
+    return (value + half) % (1 << bits) - half
 
 
 class Parser:
@@ -611,7 +644,13 @@ class Parser:
             if operator in _UNARY_PREFIX:
                 self._pos += 1
                 self._enter()
-                operand = self._parse_unary()
+                literal = self._tokens[self._pos]
+                if operator == "-" and literal.type in _NUMBER_KINDS:
+                    # the only place 2147483648 may stand, as -2147483648
+                    self._pos += 1
+                    operand: ast.Expression = _number_literal(literal, True)
+                else:
+                    operand = self._parse_unary()
                 self._depth -= 1
                 # Fold unary minus into negative literals so `-1` renders as
                 # a single literal, matching how instructors write patterns.
@@ -620,7 +659,11 @@ class Parser:
                     and isinstance(operand, ast.Literal)
                     and operand.kind in ("int", "long", "double")
                 ):
-                    return ast.Literal(-operand.value, operand.kind)  # type: ignore[operator]
+                    value = -operand.value  # type: ignore[operator]
+                    if operand.kind in _INTEGER_BITS:
+                        # Java negation wraps: -(-2147483648) is itself
+                        value = _wrap(value, _INTEGER_BITS[operand.kind])
+                    return ast.Literal(value, operand.kind)
                 return ast.Unary(operator, operand, prefix=True)
             if operator == "++" or operator == "--":
                 self._pos += 1

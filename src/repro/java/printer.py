@@ -113,8 +113,12 @@ def _render(node: ast.Expression) -> tuple[str, int]:
     if isinstance(node, ast.Unary):
         precedence = _PRECEDENCE["unary" if node.prefix else "postfix"]
         operand = _expr(node.operand, precedence)
-        text = f"{node.operator}{operand}" if node.prefix else f"{operand}{node.operator}"
-        return text, precedence
+        if not node.prefix:
+            return f"{operand}{node.operator}", precedence
+        if operand[:1] in ("+", "-") and operand[0] == node.operator[-1]:
+            # -(-x) and -(-1), never --x or --1, which lex as a decrement
+            operand = f"({operand})"
+        return f"{node.operator}{operand}", precedence
     if isinstance(node, ast.Binary):
         precedence = _PRECEDENCE[node.operator]
         left = _expr(node.left, precedence)

@@ -29,11 +29,6 @@ embeddings, including their discovery order, are identical to the
 unpruned search.  ``"naive"`` keeps the paper's literal line 11 (any
 unmatched node, declaration order) with no pruning, serving as the
 reference for the ablation benchmark and the differential test suite.
-
-When an ambient :class:`~repro.matching.cache.MatchCache` is installed
-(Algorithm 2 installs one per submission), results are memoized by
-``(pattern, graph, order)`` so repeated method assignments and pattern
-groups never re-run the search.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from __future__ import annotations
 from itertools import permutations
 
 from repro.instrumentation import check_deadline, count
-from repro.matching.cache import active_match_cache
 from repro.matching.embeddings import Embedding
 from repro.matching.plan import SearchPlan, compile_plan
 from repro.patterns.model import Pattern, PatternNode
@@ -79,20 +73,6 @@ def match_pattern(
     """
     if not pattern.nodes:
         return EmbeddingList()
-    cache = active_match_cache()
-    if cache is not None:
-        cached = cache.get(pattern, graph, order)
-        if cached is not None:
-            return cached
-    embeddings = _match_uncached(pattern, graph, order)
-    if cache is not None:
-        cache.put(pattern, graph, order, embeddings)
-    return embeddings
-
-
-def _match_uncached(
-    pattern: Pattern, graph: Epdg, order: str
-) -> EmbeddingList:
     space = _search_space(pattern, graph)
     if any(not candidates for candidates in space.values()):
         return EmbeddingList()

@@ -39,7 +39,6 @@ from itertools import permutations
 
 from repro.instrumentation import count, phase
 from repro.java import ast
-from repro.matching.cache import match_caching
 from repro.matching.constraints import check_constraint
 from repro.matching.embeddings import Embedding
 from repro.matching.groups import match_group
@@ -143,9 +142,9 @@ def match_graphs(
     """Algorithm 2 over pre-built EPDGs (one per submission method).
 
     ``strategy`` selects the assignment engine: ``"bipartite"`` (default
-    — memoized pair grading, engine-level match cache, and the exact
-    assignment DP) or ``"permutation"`` (the naive reference: the full
-    unmemoized sweep, re-grading every pair per assignment).  Both
+    — memoized pair grading and the exact assignment DP) or
+    ``"permutation"`` (the naive reference: the full unmemoized sweep,
+    re-grading every pair per assignment).  Both
     produce byte-identical outcomes; the matcher benchmark measures the
     cost difference.  ``order`` is forwarded to Algorithm 1.
     """
@@ -158,37 +157,27 @@ def match_graphs(
         return _sweep_assignments(graphs, expected_methods,
                                   enforce_headers, grader)
     grader = _PairGrader(graphs, expected_methods, order, memoize=True)
-    with match_caching():
-        if enforce_headers:
-            return grader.outcome(
-                _assignment_by_name(graphs, expected_methods)
-            )
-        method_names = sorted(graphs)
-        if len(method_names) < len(expected_methods):
-            return grader.outcome(
-                _assignment_by_name(graphs, expected_methods)
-            )
-        if _permutation_count(
-            len(method_names), len(expected_methods)
-        ) > _MAX_ASSIGNMENTS:
-            # equivalence with the (truncated) sweep cannot be kept by
-            # the full DP, so run the capped sweep on memoized grades
-            return _sweep_assignments(graphs, expected_methods,
-                                      enforce_headers, grader)
-        with phase("assignment_solve"):
-            weights = [
-                [
-                    grader.grade(index, actual).score
-                    for actual in method_names
-                ]
-                for index in range(len(expected_methods))
-            ]
-            arrangement = _solve_assignment(weights)
-        assignment: dict[str, str | None] = {
-            q.name: method_names[j]
-            for q, j in zip(expected_methods, arrangement)
-        }
-        return grader.outcome(assignment)
+    method_names = sorted(graphs)
+    if enforce_headers or len(method_names) < len(expected_methods):
+        return grader.outcome(_assignment_by_name(graphs, expected_methods))
+    if _permutation_count(
+        len(method_names), len(expected_methods)
+    ) > _MAX_ASSIGNMENTS:
+        # equivalence with the (truncated) sweep cannot be kept by the
+        # full DP, so run the capped sweep on memoized grades
+        return _sweep_assignments(graphs, expected_methods,
+                                  enforce_headers, grader)
+    with phase("assignment_solve"):
+        weights = [
+            [grader.grade(index, actual).score for actual in method_names]
+            for index in range(len(expected_methods))
+        ]
+        arrangement = _solve_assignment(weights)
+    assignment: dict[str, str | None] = {
+        q.name: method_names[j]
+        for q, j in zip(expected_methods, arrangement)
+    }
+    return grader.outcome(assignment)
 
 
 def _permutation_count(methods: int, expected: int) -> int:

@@ -32,48 +32,27 @@ class BreakerState(enum.Enum):
         return self.value
 
 
+#: Recent outcomes each breaker considers.
+WINDOW = 20
+#: Outcomes required in the window before the ratio can trip the
+#: breaker (a single early timeout must not quarantine an assignment).
+MIN_VOLUME = 5
+#: Trip threshold: open when ``failures / outcomes`` in the window
+#: reaches this with at least :data:`MIN_VOLUME` outcomes recorded.
+FAILURE_RATIO = 0.5
+#: How long an open breaker refuses traffic before probing.
+COOLDOWN_SECONDS = 30.0
+#: Probe requests admitted in the half-open state; all must succeed to
+#: close the breaker.
+HALF_OPEN_PROBES = 2
+
+
 class CircuitBreaker:
-    """Sliding-window breaker for one assignment's request flow.
+    """Sliding-window breaker for one assignment's request flow."""
 
-    Parameters
-    ----------
-    window:
-        Number of recent outcomes considered.
-    min_volume:
-        Outcomes required in the window before the ratio can trip the
-        breaker (a single early timeout must not quarantine an
-        assignment).
-    failure_ratio:
-        Trip threshold: open when ``failures / window_size`` reaches
-        this with at least ``min_volume`` outcomes recorded.
-    cooldown_seconds:
-        How long an open breaker refuses traffic before probing.
-    half_open_probes:
-        Probe requests admitted in the half-open state; all must
-        succeed to close the breaker.
-    """
-
-    def __init__(
-        self,
-        window: int = 20,
-        min_volume: int = 5,
-        failure_ratio: float = 0.5,
-        cooldown_seconds: float = 30.0,
-        half_open_probes: int = 2,
-        clock=time.monotonic,
-    ):
-        if window <= 0 or min_volume <= 0 or half_open_probes <= 0:
-            raise ValueError("window, min_volume, half_open_probes "
-                             "must be positive")
-        if not 0 < failure_ratio <= 1:
-            raise ValueError("failure_ratio must be in (0, 1]")
-        self.window = window
-        self.min_volume = min_volume
-        self.failure_ratio = failure_ratio
-        self.cooldown_seconds = cooldown_seconds
-        self.half_open_probes = half_open_probes
+    def __init__(self, clock=time.monotonic):
         self._clock = clock
-        self._outcomes: deque[bool] = deque(maxlen=window)  # True = failure
+        self._outcomes: deque[bool] = deque(maxlen=WINDOW)  # True = failure
         self._state = BreakerState.CLOSED
         self._opened_at = 0.0
         self._probes_started = 0
@@ -85,7 +64,7 @@ class CircuitBreaker:
         # promote OPEN → HALF_OPEN lazily on observation
         if (
             self._state is BreakerState.OPEN
-            and self._clock() - self._opened_at >= self.cooldown_seconds
+            and self._clock() - self._opened_at >= COOLDOWN_SECONDS
         ):
             self._state = BreakerState.HALF_OPEN
             self._probes_started = 0
@@ -98,7 +77,7 @@ class CircuitBreaker:
         if state is BreakerState.CLOSED:
             return True
         if state is BreakerState.HALF_OPEN:
-            if self._probes_started < self.half_open_probes:
+            if self._probes_started < HALF_OPEN_PROBES:
                 self._probes_started += 1
                 return True
             return False
@@ -112,7 +91,7 @@ class CircuitBreaker:
                 self._trip()
             else:
                 self._probes_succeeded += 1
-                if self._probes_succeeded >= self.half_open_probes:
+                if self._probes_succeeded >= HALF_OPEN_PROBES:
                     self._state = BreakerState.CLOSED
                     self._outcomes.clear()
             return
@@ -121,9 +100,9 @@ class CircuitBreaker:
             # open window already made its decision
             return
         self._outcomes.append(failure)
-        if len(self._outcomes) >= self.min_volume:
+        if len(self._outcomes) >= MIN_VOLUME:
             failures = sum(self._outcomes)
-            if failures / len(self._outcomes) >= self.failure_ratio:
+            if failures / len(self._outcomes) >= FAILURE_RATIO:
                 self._trip()
 
     def _trip(self) -> None:
@@ -134,7 +113,7 @@ class CircuitBreaker:
 
     def retry_after_seconds(self) -> int:
         """Seconds until the cooldown elapses (min 1)."""
-        remaining = self.cooldown_seconds - (self._clock() - self._opened_at)
+        remaining = COOLDOWN_SECONDS - (self._clock() - self._opened_at)
         return max(1, int(remaining) + 1) if self._state is BreakerState.OPEN \
             else 1
 
@@ -150,15 +129,14 @@ class CircuitBreaker:
 class BreakerRegistry:
     """One :class:`CircuitBreaker` per assignment, created on demand."""
 
-    def __init__(self, clock=time.monotonic, **params):
-        self._params = params
+    def __init__(self, clock=time.monotonic):
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
 
     def get(self, assignment_name: str) -> CircuitBreaker:
         breaker = self._breakers.get(assignment_name)
         if breaker is None:
-            breaker = CircuitBreaker(clock=self._clock, **self._params)
+            breaker = CircuitBreaker(clock=self._clock)
             self._breakers[assignment_name] = breaker
         return breaker
 

@@ -21,7 +21,7 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_COUNT = 64
 MAX_HEADER_LINE = 8192
-DEFAULT_MAX_BODY = 1 << 20  # 1 MiB of Java source is a *very* long lab
+MAX_BODY_BYTES = 1 << 20  # 1 MiB of Java source is a *very* long lab
 
 REASONS = {
     200: "OK",
@@ -134,9 +134,7 @@ async def _read_line(reader: asyncio.StreamReader, limit: int) -> bytes:
     return line.rstrip(b"\r\n")
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body: int = DEFAULT_MAX_BODY
-) -> HttpRequest | None:
+async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Parse one request; ``None`` on clean EOF between requests.
 
     Raises :class:`HttpError` for anything malformed or over-limit; the
@@ -183,8 +181,8 @@ async def read_request(
         raise HttpError(400, f"bad Content-Length: {length_text!r}") from exc
     if length < 0:
         raise HttpError(400, "negative Content-Length")
-    if length > max_body:
-        raise HttpError(413, f"body exceeds {max_body} bytes")
+    if length > MAX_BODY_BYTES:
+        raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = b""
     if length:
         try:

@@ -55,7 +55,7 @@ POOL_MODES = ("process", "inline")
 
 #: Extra wall-clock seconds the parent grants beyond the cooperative
 #: deadline before it kills the worker.
-DEFAULT_KILL_GRACE = 0.5
+KILL_GRACE_SECONDS = 0.5
 
 
 @dataclass
@@ -72,22 +72,15 @@ class PoolResult:
     killed: bool = False
 
 
-def _timeout_report(assignment_name: str, max_seconds: float | None,
-                    killed: bool) -> GradingReport:
-    if killed:
-        detail = (
-            f"grading exceeded the {max_seconds:g}s deadline and the "
-            "worker was terminated"
-            if max_seconds is not None
-            else "grading exceeded its deadline and the worker was "
-                 "terminated"
-        )
-    else:
-        detail = (
-            f"grading exceeded the {max_seconds:g}s wall-clock limit"
-            if max_seconds is not None
-            else "grading exceeded its wall-clock limit"
-        )
+def _timeout_report(
+    assignment_name: str, max_seconds: float | None
+) -> GradingReport:
+    detail = (
+        f"grading exceeded the {max_seconds:g}s deadline and the "
+        "worker was terminated"
+        if max_seconds is not None
+        else "grading exceeded its deadline and the worker was terminated"
+    )
     return GradingReport(assignment_name=assignment_name, timeout=detail)
 
 
@@ -253,7 +246,7 @@ class _WorkerHandle:
         elapsed = time.perf_counter() - started
         return (
             PoolResult(
-                _timeout_report(assignment_name, max_seconds, killed=True),
+                _timeout_report(assignment_name, max_seconds),
                 None,
                 elapsed,
                 killed=True,
@@ -302,7 +295,6 @@ class GradingWorkerPool:
         self,
         workers: int = 2,
         mode: str = "process",
-        kill_grace_seconds: float = DEFAULT_KILL_GRACE,
         store_root: str | None = None,
         store_backend: str = "auto",
         profile: GradingProfile = GradingProfile(),
@@ -315,7 +307,6 @@ class GradingWorkerPool:
             raise ValueError("workers must be positive")
         self.workers = workers
         self.mode = mode
-        self.kill_grace_seconds = kill_grace_seconds
         self.profile = profile
         self.store_root = store_root
         self.store_backend = store_backend
@@ -323,8 +314,8 @@ class GradingWorkerPool:
         self._free: asyncio.Queue = asyncio.Queue()
         self._executor: ThreadPoolExecutor | None = None
         self._context = None
-        # inline slots share one set of graders, as threads share one
-        # engine in the batch pipeline; each process worker owns its own
+        # inline slots share one set of graders across their threads;
+        # each process worker owns its own
         self._inline = self._graders()
         self._started = False
 
@@ -378,7 +369,7 @@ class GradingWorkerPool:
                     hang_seconds,
                 )
             hard_timeout = (
-                max_seconds + self.kill_grace_seconds
+                max_seconds + KILL_GRACE_SECONDS
                 if max_seconds is not None
                 else None
             )
@@ -401,7 +392,7 @@ class GradingWorkerPool:
     ) -> PoolResult:
         job = (assignment_name, source, max_seconds, hang_seconds)
         hard_timeout = (
-            max_seconds + self.kill_grace_seconds
+            max_seconds + KILL_GRACE_SECONDS
             if max_seconds is not None
             else None
         )
@@ -417,7 +408,7 @@ class GradingWorkerPool:
             # the same synthesized timeout the process mode produces
             self.respawns += 1
             return PoolResult(
-                _timeout_report(assignment_name, max_seconds, killed=True),
+                _timeout_report(assignment_name, max_seconds),
                 None,
                 hard_timeout or 0.0,
                 killed=True,

@@ -53,7 +53,7 @@ from repro.serve.http import (
     read_request,
 )
 from repro.serve.metrics import ServiceMetrics, render_prometheus
-from repro.serve.pool import DEFAULT_KILL_GRACE, GradingWorkerPool
+from repro.serve.pool import GradingWorkerPool
 
 _GRADE_PATH = re.compile(r"^/assignments/([^/]+)/grade$")
 
@@ -79,8 +79,6 @@ class ServiceConfig:
     queue_capacity: int = 64
     default_deadline_seconds: float = 10.0
     max_deadline_seconds: float = 30.0
-    kill_grace_seconds: float = DEFAULT_KILL_GRACE
-    max_body_bytes: int = 1 << 20
     cache_size: int = 8192
     #: Directory for the persistent cross-process result cache
     #: (:class:`~repro.core.storage.ResultStore`); ``None`` disables it.
@@ -117,11 +115,6 @@ class ServiceConfig:
     #: fingerprint, so a plain service sharing the cache directory
     #: keeps its byte-identical output.
     perf: bool = False
-    breaker_window: int = 20
-    breaker_min_volume: int = 5
-    breaker_failure_ratio: float = 0.5
-    breaker_cooldown_seconds: float = 30.0
-    breaker_half_open_probes: int = 2
     drain_timeout_seconds: float = 30.0
     #: Honor the ``debug_sleep_seconds`` request field (load tests use
     #: it to simulate wedged submissions).  Never enable in production.
@@ -137,13 +130,7 @@ class GradingService:
         self.admission = AdmissionController(
             capacity=self.config.workers + self.config.queue_capacity
         )
-        self.breakers = BreakerRegistry(
-            window=self.config.breaker_window,
-            min_volume=self.config.breaker_min_volume,
-            failure_ratio=self.config.breaker_failure_ratio,
-            cooldown_seconds=self.config.breaker_cooldown_seconds,
-            half_open_probes=self.config.breaker_half_open_probes,
-        )
+        self.breakers = BreakerRegistry()
         self.profile = GradingProfile(
             cluster=self.config.cluster,
             repair=self.config.repair,
@@ -152,7 +139,6 @@ class GradingService:
         self.pool = GradingWorkerPool(
             workers=self.config.workers,
             mode=self.config.pool_mode,
-            kill_grace_seconds=self.config.kill_grace_seconds,
             store_root=(
                 str(self.config.cache_dir)
                 if self.config.cache_dir is not None
@@ -238,9 +224,7 @@ class GradingService:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, self.config.max_body_bytes
-                    )
+                    request = await read_request(reader)
                 except HttpError as error:
                     self.metrics.increment("serve.bad_requests")
                     await self._write(writer, _error_response(error), False)

@@ -15,10 +15,10 @@ from repro.analysis.perf.static import (
     BOUND_INPUT_LINEAR,
     detect_patterns,
     method_loops,
-    render_expr,
 )
 from repro.core.assignment import FunctionalTest
-from repro.java import parse_submission
+from repro.java import parse_expression, parse_submission
+from repro.java.printer import print_expression
 from repro.testing.functional import run_tests
 
 
@@ -262,6 +262,8 @@ class TestStringConcatInLoop:
 
 
 class TestRenderExpr:
+    """Snippets and ``{probe}`` show the expression the student wrote."""
+
     @pytest.mark.parametrize("source, rendered", [
         ("a[j] == i", "a[j] == i"),
         ("b[j].equals(a[i])", "b[j].equals(a[i])"),
@@ -269,9 +271,38 @@ class TestRenderExpr:
         ("x > 0 ? x : -x", "x > 0 ? x : -x"),
     ])
     def test_round_trips_common_shapes(self, source, rendered):
-        from repro.java.parser import parse_expression
+        assert print_expression(parse_expression(source)) == rendered
 
-        assert render_expr(parse_expression(source)) == rendered
+    def test_probe_keeps_parentheses(self):
+        findings = findings_of("""
+            int m(int[] a, int n) {
+                int c = 0;
+                for (int i = 0; i < n; i++) {
+                    for (int j = 0; j < n; j++) {
+                        if (a[(j + 1) % n] == a[i] * (i - j)) { c++; }
+                    }
+                }
+                return c;
+            }
+        """)
+        assert [f.pattern_id for f in findings] == ["nested-loop-lookup"]
+        probe = "a[(j + 1) % n] == a[i] * (i - j)"
+        assert findings[0].gamma["probe"] == probe
+        assert findings[0].snippet == probe
+
+    def test_snippet_keeps_parentheses_escapes_and_suffix(self):
+        findings = findings_of(r"""
+            String m(int[] a) {
+                String s = "";
+                for (int i = 0; i < a.length; i++) {
+                    s = s + (a[i] - 1) * 2 + "\n" + 10L;
+                }
+                return s;
+            }
+        """)
+        assert [f.pattern_id for f in findings] == ["string-concat-in-loop"]
+        # the literal holds a newline; the snippet shows its escape
+        assert findings[0].snippet == r's = s + (a[i] - 1) * 2 + "\n" + 10L'
 
 
 class TestCleanKnowledgeBase:

@@ -102,7 +102,7 @@ class TestClusterKeyForwardCompat:
 
 
 class TestBatchModes:
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_clustered_batch_matches_plain(self, mode, assignment1, audit1):
         # SOURCE has genuinely renameable identifiers (assignment1's own
         # reference keeps every spelling via the report vocabulary, so

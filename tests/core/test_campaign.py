@@ -66,7 +66,7 @@ class TestShardDigest:
 
 class TestStatsRoundTrip:
     def test_from_dict_inverts_to_dict(self):
-        stats = PipelineStats(mode="thread", workers=3, submissions=10,
+        stats = PipelineStats(mode="process", workers=3, submissions=10,
                               graded=7, cache_hits=3, wall_seconds=1.5)
         stats.phase_seconds["parse"] = 0.25
         stats.phase_counts["parse"] = 7

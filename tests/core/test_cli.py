@@ -105,7 +105,7 @@ class TestGradeBatch:
 
     def test_synthetic_cohort(self, capsys):
         assert main(["grade-batch", "assignment1", "--synthetic", "5",
-                     "--mode", "thread", "--workers", "2"]) == 0
+                     "--mode", "process", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert out.count("synthetic-") == 5
 

@@ -129,14 +129,14 @@ class TestPipelineStats:
     def test_to_dict_is_json_friendly(self):
         import json
 
-        stats = PipelineStats(mode="thread", workers=2)
+        stats = PipelineStats(mode="process", workers=2)
         stats.record_submission(seconds=0.1)
         stats.record_phase("parse", 0.05)
         stats.wall_seconds = 0.2
         payload = stats.to_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["phase_ms"]["parse"] == 50.0
-        assert payload["mode"] == "thread"
+        assert payload["mode"] == "process"
 
     def test_summary_mentions_every_phase(self):
         stats = PipelineStats()

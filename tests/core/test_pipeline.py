@@ -82,9 +82,9 @@ class TestResultCache:
 class TestDeterminism:
     def test_parallel_results_identical_to_serial(self, assignment1, cohort):
         serial = BatchGrader(assignment1, mode="serial", cache=False)
-        threaded = BatchGrader(assignment1, mode="thread", workers=4)
+        parallel = BatchGrader(assignment1, mode="process", workers=2)
         expected = serial.grade_batch(cohort)
-        actual = threaded.grade_batch(cohort)
+        actual = parallel.grade_batch(cohort)
         assert expected.rendered() == actual.rendered()
         assert [i.report.status for i in expected.items] == \
             [i.report.status for i in actual.items]
@@ -97,8 +97,8 @@ class TestDeterminism:
             proc.grade_batch(small).rendered()
 
     def test_order_is_stable(self, assignment1, cohort):
-        result = BatchGrader(assignment1, mode="thread",
-                             workers=4).grade_batch(cohort)
+        result = BatchGrader(assignment1, mode="process",
+                             workers=2).grade_batch(cohort)
         assert [item.label for item in result.items] == \
             [label for label, _ in cohort]
 
@@ -312,12 +312,3 @@ class TestCrossModeStats:
         # wall time is mode-dependent, but phase time must be real
         assert process.stats.phase_seconds["pattern_match"] > 0
 
-    def test_thread_stats_match_serial(self, assignment1, cohort):
-        serial = BatchGrader(
-            assignment1, mode="serial", cache=False
-        ).grade_batch(cohort)
-        threaded = BatchGrader(
-            assignment1, mode="thread", workers=4, cache=False
-        ).grade_batch(cohort)
-        assert threaded.stats.phase_counts == serial.stats.phase_counts
-        assert threaded.stats.counters == serial.stats.counters

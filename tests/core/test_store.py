@@ -242,7 +242,7 @@ class TestPipelineIntegration:
         assert second.stats.graded == 0
         assert second.stats.cache_hits == 3
         assert second.stats.counters["cache.store_hits"] == 2
-        assert "match.cache_misses" not in second.stats.counters
+        assert "pattern_match" not in second.stats.phase_counts
         assert second.rendered() == first.rendered()
 
     def test_store_accepts_a_path_or_an_instance(

@@ -1,4 +1,4 @@
-"""Numeric literals as Java reads them: octal, hex, overflow.
+"""Numeric literals as Java reads them: octal, hex, range, overflow.
 
 The parser used to convert integer literals with Python's ``int(text,
 0)``, which rejects a leading zero, and doubles with ``float``, which
@@ -9,6 +9,11 @@ uncacheable ``error``.  Octal now reads as octal, and each malformed
 shape is a positioned syntax error, a cacheable ``parse-error``.  That
 every KB reference and synth sample still parses is checked in
 ``test_parser_depth.py``.
+
+Integer literals are range-checked as ``javac`` checks them: a decimal
+must fit its type (only ``-2147483648`` and ``-9223372036854775808L``
+reach the minimum), and hex or octal spells a two's-complement bit
+pattern of at most 32 (64) bits, so ``0xFFFFFFFF`` is -1.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from repro.core.pipeline import BatchGrader
 from repro.errors import JavaSyntaxError
 from repro.interp import run_method
 from repro.java import parse_expression, parse_submission
+from repro.java.printer import print_expression
 from repro.kb import get_assignment
 
 _ASSIGNMENT = get_assignment("assignment1")
@@ -39,6 +45,19 @@ MALFORMED = {
     "1e999": "double z = 1e999;",
     "09L": "long z = 09L;",
     "0xL": "long z = 0xL;",
+}
+#: Statement → the literal javac rejects in it as too large.
+OUT_OF_RANGE = {
+    "int z = 3000000000;": "3000000000",
+    "int z = 2147483648;": "2147483648",
+    "int z = 0x100000000;": "0x100000000",
+    "int z = 040000000000;": "040000000000",
+    "long z = 9223372036854775808L;": "9223372036854775808L",
+    "long z = 0x1_0000_0000_0000_0000L;": "0x1_0000_0000_0000_0000L",
+    "int z = -2147483649;": "2147483649",
+    # the minimum's magnitude only as the *direct* operand of minus
+    "int z = -(2147483648);": "2147483648",
+    "int z = 1 - 2147483648;": "2147483648",
 }
 
 
@@ -105,3 +124,64 @@ def test_octal_evaluates_as_octal():
         "int f() { int z = 010; long w = 017L; return z + (int) w; }"
     )
     assert run_method(unit, "f", []).return_value == 8 + 15
+
+
+@pytest.mark.parametrize("statement", sorted(OUT_OF_RANGE))
+def test_out_of_range_literal_is_a_positioned_syntax_error(statement):
+    source = _inject(statement)
+    with pytest.raises(JavaSyntaxError) as caught:
+        parse_submission(source)
+    assert "out of range" in str(caught.value)
+    line = source.splitlines()[caught.value.line - 1]
+    assert line[caught.value.column - 1:].startswith(OUT_OF_RANGE[statement])
+
+
+@pytest.mark.parametrize("statement", sorted(OUT_OF_RANGE))
+def test_out_of_range_literal_grades_as_parse_error(graders, statement):
+    source = _inject(statement)
+    assert set(_statuses(graders, source).values()) == {"parse-error"}
+
+
+@pytest.mark.parametrize("text, value, kind", [
+    ("2147483647", 2147483647, "int"),
+    ("-2147483648", -2147483648, "int"),
+    ("0x7fffffff", 2147483647, "int"),
+    ("0x80000000", -2147483648, "int"),
+    ("0xFFFFFFFF", -1, "int"),
+    ("037777777777", -1, "int"),
+    ("-0xFFFFFFFF", 1, "int"),
+    ("-(-2147483648)", -2147483648, "int"),
+    ("9223372036854775807L", 9223372036854775807, "long"),
+    ("-9223372036854775808L", -9223372036854775808, "long"),
+    ("0xFFFFFFFFFFFFFFFFL", -1, "long"),
+    ("0xFFFFFFFFL", 4294967295, "long"),
+])
+def test_boundary_literal_values(text, value, kind):
+    literal = parse_expression(text)
+    assert (literal.value, literal.kind) == (value, kind)
+
+
+@pytest.mark.parametrize("body, value", [
+    ("int z = 0xFFFFFFFF; return z;", -1),
+    ("int z = 037777777777; return z;", -1),
+    ("int z = -2147483648; return z;", -2147483648),
+    ("int z = -2147483648; return z - 1;", 2147483647),
+    ("long z = -9223372036854775808L; return z;", -9223372036854775808),
+    ("long z = 0xFFFFFFFFFFFFFFFFL; return z + 1;", 0),
+])
+def test_boundary_literals_evaluate_as_java(body, value):
+    unit = parse_submission("long f() { " + body + " }")
+    assert run_method(unit, "f", []).return_value == value
+
+
+@pytest.mark.parametrize("text", [
+    "0xFFFFFFFF", "-0xFFFFFFFF", "037777777777", "0x80000000",
+    "-2147483648", "-(-2147483648)", "-9223372036854775808L",
+    "0xFFFFFFFFFFFFFFFFL", "~0xFFFFFFFF", "(int) 0xFFFFFFFF",
+    "-(int) 0xFFFFFFFF", "x - 0xFFFFFFFF", "-(-x)", "- -x", "-(--x)",
+])
+def test_printed_literals_parse_back_to_the_same_tree(text):
+    tree = parse_expression(text)
+    printed = print_expression(tree)
+    assert parse_expression(printed) == tree
+    assert print_expression(parse_expression(printed)) == printed

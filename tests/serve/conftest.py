@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.serve import GradingService, ServiceConfig
+from repro.serve import pool
 
 
 @contextlib.asynccontextmanager
@@ -111,3 +112,9 @@ async def grade_call(service, assignment, body):
 @pytest.fixture(scope="session")
 def good_source(assignment1):
     return assignment1.reference_solutions[0]
+
+
+@pytest.fixture
+def short_grace(monkeypatch):
+    """Shrink the hard-kill grace so deadline tests finish quickly."""
+    monkeypatch.setattr(pool, "KILL_GRACE_SECONDS", 0.1)

@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.serve.http import (
-    DEFAULT_MAX_BODY,
+    MAX_BODY_BYTES,
     HttpError,
     HttpRequest,
     HttpResponse,
@@ -15,14 +15,14 @@ from repro.serve.http import (
 )
 
 
-def parse(raw: bytes, max_body: int = DEFAULT_MAX_BODY):
+def parse(raw: bytes):
     """Feed raw bytes to read_request through a fresh StreamReader."""
 
     async def go():
         reader = asyncio.StreamReader()
         reader.feed_data(raw)
         reader.feed_eof()
-        return await read_request(reader, max_body)
+        return await read_request(reader)
 
     return asyncio.run(go())
 
@@ -93,12 +93,17 @@ class TestReadRequest:
             parse(b"POST /x HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
         assert excinfo.value.status == 400
 
+    def test_body_at_the_limit_is_read(self):
+        head = f"POST /x HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n"
+        request = parse(head.encode() + b"a" * MAX_BODY_BYTES)
+        assert len(request.body) == MAX_BODY_BYTES
+
     def test_oversized_body_is_413(self):
+        # no body follows the headers: reading it would fail as a
+        # truncated body (400), so a 413 proves the check came first
+        head = f"POST /x HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
         with pytest.raises(HttpError) as excinfo:
-            parse(
-                b"POST /x HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"a" * 100,
-                max_body=10,
-            )
+            parse(head.encode())
         assert excinfo.value.status == 413
 
     def test_truncated_body_is_400(self):

@@ -54,11 +54,9 @@ class TestInlineMode:
         assert result.collector is not None
         assert "parse" in result.collector.seconds
 
-    def test_hang_hits_hard_timeout(self, good_source):
+    def test_hang_hits_hard_timeout(self, good_source, short_grace):
         async def go():
-            pool = GradingWorkerPool(
-                workers=1, mode="inline", kill_grace_seconds=0.1
-            )
+            pool = GradingWorkerPool(workers=1, mode="inline")
             await pool.start()
             try:
                 started = time.perf_counter()
@@ -111,11 +109,9 @@ class TestProcessMode:
         assert first.collector is not None
         assert "pattern_match" in first.collector.seconds
 
-    def test_hung_worker_is_killed_and_respawned(self, good_source):
+    def test_hung_worker_is_killed_and_respawned(self, good_source, short_grace):
         async def go():
-            pool = GradingWorkerPool(
-                workers=1, mode="process", kill_grace_seconds=0.2
-            )
+            pool = GradingWorkerPool(workers=1, mode="process")
             await pool.start()
             try:
                 started = time.perf_counter()
@@ -134,7 +130,7 @@ class TestProcessMode:
         assert hung.report.status == "timeout"
         assert hung.killed
         assert hung.collector is None  # stats died with the worker
-        # hard timeout (0.4s) plus kill/reap, nowhere near the 60s hang
+        # hard timeout (0.3s) plus kill/reap, nowhere near the 60s hang
         assert kill_seconds < 5.0
         assert respawns == 1
         assert after.report.status == "ok"

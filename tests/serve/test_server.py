@@ -14,6 +14,8 @@ import pytest
 
 from repro.core.pipeline import BatchGrader, source_key
 from repro.core.storage import ResultStore
+from repro.serve import breaker
+from repro.serve.http import MAX_BODY_BYTES
 from tests.serve.conftest import (
     grade_call,
     http_call,
@@ -253,15 +255,40 @@ class TestGrading:
         assert status == 400
         assert "debug-hooks" in payload["error"]
 
-    def test_oversized_body_is_413(self):
+    def test_body_at_the_limit_is_read(self, good_source):
+        payload = json.dumps({"source": good_source}).encode()
+        # trailing whitespace keeps the JSON valid at exactly the limit
+        at_limit = payload + b" " * (MAX_BODY_BYTES - len(payload))
+
         async def go():
-            async with running_service(max_body_bytes=256) as service:
-                return await grade_call(
-                    service, "assignment1", {"source": "x" * 1000}
+            async with running_service() as service:
+                return await http_call(
+                    service.config.host, service.port, "POST",
+                    "/assignments/assignment1/grade", raw_body=at_limit,
                 )
 
-        status, _ = run(go())
-        assert status == 413
+        status, _, raw = run(go())
+        assert status == 200
+        assert json.loads(raw)["report"]["status"] == "ok"
+
+    def test_oversized_body_is_413(self):
+        async def go():
+            async with running_service() as service:
+                reader, writer = await asyncio.open_connection(
+                    service.config.host, service.port
+                )
+                # one byte over, and no body sent: the 413 must come
+                # before any attempt to read the body
+                writer.write(
+                    b"POST /assignments/assignment1/grade HTTP/1.1\r\n"
+                    + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+                )
+                await writer.drain()
+                status_line = await reader.readline()
+                writer.close()
+            return status_line
+
+        assert run(go()).split()[1] == b"413"
 
     def test_deadline_is_clamped_to_server_maximum(self, good_source):
         async def go():
@@ -319,11 +346,9 @@ class TestOverloadAndDeadlines:
         assert all(status == 200 for status, _ in done)
         assert metrics["serve"]["serve.rejected_queue_full"] == 1
 
-    def test_deadline_timeout_answers_504(self, good_source):
+    def test_deadline_timeout_answers_504(self, good_source, short_grace):
         async def go():
-            async with running_service(
-                workers=1, kill_grace_seconds=0.1
-            ) as service:
+            async with running_service(workers=1) as service:
                 return await grade_call(
                     service, "assignment1",
                     {
@@ -338,16 +363,14 @@ class TestOverloadAndDeadlines:
         assert payload["report"]["status"] == "timeout"
 
     def test_breaker_quarantines_after_repeated_timeouts(
-        self, good_source
+        self, good_source, short_grace, monkeypatch
     ):
+        monkeypatch.setattr(breaker, "MIN_VOLUME", 2)
+        monkeypatch.setattr(breaker, "FAILURE_RATIO", 1.0)
+        monkeypatch.setattr(breaker, "COOLDOWN_SECONDS", 300.0)
+
         async def go():
-            async with running_service(
-                workers=1,
-                kill_grace_seconds=0.1,
-                breaker_min_volume=2,
-                breaker_failure_ratio=1.0,
-                breaker_cooldown_seconds=300.0,
-            ) as service:
+            async with running_service(workers=1) as service:
                 for i in range(2):
                     await grade_call(
                         service, "assignment1",
