@@ -15,9 +15,10 @@ Two workloads exercise the two optimization layers:
 * ``kb_standard`` — all twelve knowledge-base assignments grading their
   own reference solutions with headers enforced (the common MOOC
   configuration).  Here assignment search is trivial, so the win comes
-  from Algorithm 1: compiled search plans and degree/arity pruning over
-  indexed EPDGs.  The naive baseline is
-  the paper-literal path (``strategy="permutation"``, ``order="naive"``);
+  from Algorithm 1: compiled search plans and three exact prunes of Φ
+  (degree, variable arity and γ-free node content) over indexed EPDGs.
+  The naive baseline is the paper-literal path
+  (``strategy="permutation"``, ``order="naive"``);
   scores and comment statuses must agree exactly, and the render must be
   byte-identical to the same-order permutation path (variable bindings —
   and thus feedback detail wording — are legitimately order-sensitive,

@@ -58,8 +58,10 @@ from repro.core.storage.json_backend import JsonBackend
 from repro.core.storage.sqlite_backend import SQLITE_FILENAME, SqliteBackend
 
 #: Entry format version.  Bump when the on-disk layout or the meaning of a
-#: stored report changes; old entries then read as misses.
-SCHEMA_VERSION = 1
+#: stored report changes; old entries then read as misses.  Version 2:
+#: the template boundary guards treat non-ASCII characters as identifier
+#: characters, which :func:`kb_fingerprint` cannot see.
+SCHEMA_VERSION = 2
 
 #: Supported backend names (``"auto"`` resolves to one of these).
 BACKENDS = ("json", "sqlite")

@@ -16,9 +16,11 @@ assignments, exactly Table I's ``P`` column).
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import KnowledgeBaseError
 from repro.patterns.model import Pattern, PatternNode
-from repro.patterns.template import ExprTemplate
+from repro.patterns.template import BOUNDARY_AFTER, BOUNDARY_BEFORE, ExprTemplate
 from repro.pdg.graph import EdgeType, GraphEdge, NodeType
 
 _CTRL = EdgeType.CTRL
@@ -44,10 +46,9 @@ def _node(
         if approx_variables is None:
             # keep only the declared variables that the approximate
             # expression actually mentions (r̂'s variables ⊆ r's, Def. 4)
-            import re as _re
             approx_variables = tuple(
                 v for v in variables
-                if _re.search(rf"(?<![A-Za-z0-9_$]){_re.escape(v)}(?![A-Za-z0-9_$])", approx)
+                if re.search(BOUNDARY_BEFORE + re.escape(v) + BOUNDARY_AFTER, approx)
             )
         approx_template = _template(approx, *approx_variables)
     return PatternNode(

@@ -23,8 +23,9 @@ The default ``"connectivity"`` order runs off a **compiled search plan**
 requirements are extracted once per pattern, the connectivity-first node
 order is fixed up front (it never depends on *how* nodes are mapped,
 only on which are matched), and Φ is additionally pruned by degree
-profiles and variable-arity floors.  Both prunes are exact — they only
-drop candidates the backtracking would reject in every branch — so the
+profiles, variable-arity floors and node content.  All three prunes are
+exact — they only drop candidates the backtracking would reject in
+every branch — and the order is fixed from the unpruned Φ sizes, so the
 embeddings, including their discovery order, are identical to the
 unpruned search.  ``"naive"`` keeps the paper's literal line 11 (any
 unmatched node, declaration order) with no pruning, serving as the
@@ -66,7 +67,7 @@ def match_pattern(
 
     ``order`` selects the node-ordering heuristic: ``"connectivity"``
     (default — compiled plan with static connectivity-first order and
-    degree/arity pruning) or ``"naive"`` (the paper's line 11: any
+    degree/arity/content pruning) or ``"naive"`` (the paper's line 11: any
     unmatched node, in declaration order, no pruning).  Both return the
     same embeddings; the ablation benchmark measures the cost
     difference.
@@ -121,7 +122,7 @@ def _prune_space(
 ) -> int:
     """Drop Φ candidates that can never complete an embedding.
 
-    Two exact filters (they remove only candidates the backtracking
+    Three exact filters (they remove only candidates the backtracking
     search would reject in every branch, so results — and their order —
     are unchanged):
 
@@ -131,7 +132,16 @@ def _prune_space(
     * **arity**: with the node order fixed, the variables bound before
       node ``u`` is matched are known statically, so ``u`` must bind its
       remaining variables injectively into the candidate's variables —
-      impossible when the candidate has fewer variables than that.
+      impossible when the candidate has fewer variables than that;
+    * **content**: the search accepts a candidate only if its content
+      matches ``expr`` or ``approx`` under some γ, and every such match
+      is also a match of the template's γ-free form
+      (:meth:`ExprTemplate.may_match`), so a candidate matching neither
+      γ-free form is rejected in every branch.
+
+    No verdict is cached across calls: caching ``may_match`` per
+    (template, content) saved only ~6% more CPU (``docs/PERFORMANCE.md``),
+    and the cache would grow with student-controlled content.
 
     Returns the number of candidates removed.
     """
@@ -140,16 +150,19 @@ def _prune_space(
     for node_plan in plan.node_plans:
         requirement = node_plan.degree_requirement
         floor = floors[node_plan.node_id]
+        templates = node_plan.templates
         candidates = space[node_plan.node_id]
         kept = []
         for v_id in candidates:
             profile = graph.degree_profile(v_id)
+            v = graph.node(v_id)
             if (
                 profile[0] >= requirement[0]
                 and profile[1] >= requirement[1]
                 and profile[2] >= requirement[2]
                 and profile[3] >= requirement[3]
-                and len(graph.node(v_id).variables) >= floor
+                and len(v.variables) >= floor
+                and any(t.may_match(v.content) for t in templates)
             ):
                 kept.append(v_id)
         pruned += len(candidates) - len(kept)
@@ -250,7 +263,6 @@ class _SearchState:
         unbound_submission = sorted(v.variables - bound_submission)
         if len(unbound_pattern) > len(unbound_submission):
             return
-        seen_extensions: set[tuple[str, ...]] = set()
         tried = 0
         for arrangement in permutations(unbound_submission, len(unbound_pattern)):
             # arrangements that never match yield nothing back to
@@ -258,18 +270,9 @@ class _SearchState:
             tried += 1
             if tried & 511 == 0:
                 check_deadline()
-            if arrangement in seen_extensions:
-                continue
-            seen_extensions.add(arrangement)
             extension = dict(zip(unbound_pattern, arrangement))
             trial = {**gamma, **extension}
-            if u.expr.matches(v.content, _restrict(trial, u.expr.variables)):
+            if u.expr.matches(v.content, trial):
                 yield extension, True
-            elif u.approx is not None and u.approx.matches(
-                v.content, _restrict(trial, u.approx.variables)
-            ):
+            elif u.approx is not None and u.approx.matches(v.content, trial):
                 yield extension, False
-
-
-def _restrict(gamma: dict[str, str], variables: frozenset[str]) -> dict[str, str]:
-    return {name: gamma[name] for name in variables if name in gamma}

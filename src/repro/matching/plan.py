@@ -17,7 +17,9 @@ object:
   with a smaller degree profile can never complete an embedding, so the
   search space Φ drops it before the search starts;
 * **variable sets** per node, so the matcher never unions
-  ``expr``/``approx`` variables in the loop.
+  ``expr``/``approx`` variables in the loop;
+* the node's **expression templates** (``expr`` and, if present,
+  ``approx``), whose γ-free forms drop candidates by content.
 
 Two quantities still depend on the graph and are computed per match
 call (they are :math:`O(|U|^2)` on patterns with at most a handful of
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.patterns.model import Pattern
+from repro.patterns.template import ExprTemplate
 from repro.pdg.graph import EdgeType
 
 
@@ -58,6 +61,9 @@ class NodePlan:
     degree_requirement: tuple[int, int, int, int]
     #: All variables of the node (exact ∪ approximate expression).
     variables: frozenset[str]
+    #: ``expr`` and, if the node has one, ``approx``: an image's content
+    #: must match the γ-free form of at least one of them.
+    templates: tuple[ExprTemplate, ...]
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,8 @@ def compile_plan(pattern: Pattern) -> SearchPlan:
                 adjacency=tuple(adjacency[node.node_id]),
                 degree_requirement=tuple(requirements[node.node_id]),
                 variables=node.variables,
+                templates=(node.expr,) if node.approx is None
+                else (node.expr, node.approx),
             )
             for node in pattern.nodes
         )

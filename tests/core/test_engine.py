@@ -7,6 +7,25 @@ from repro.instrumentation import collecting
 from repro.java import parse_submission
 from repro.kb.assignments.assignment1 import FIGURE_2B
 
+#: Assignment 1's reference loop plus a declared variable ``éi``, which
+#: the lexer reads as one identifier.
+_WITH_EI_DECLARED = """void assignment1(int[] a) {
+    int odd = 0;
+    int even = 1;
+    int i = 0;
+    int éi = 0;
+    while (i < a.length) {
+        if (i % 2 == 1)
+            odd += a[i];
+        if (i % 2 == 0)
+            even *= a[i];
+        i++;
+    }
+    System.out.println(odd);
+    System.out.println(even);
+}
+"""
+
 
 class TestFeedbackEngine:
     def test_grade_source(self, engine1):
@@ -36,6 +55,17 @@ class TestFeedbackEngine:
         third = engine1.grade(FIGURE_2B)
         assert first.is_positive and third.is_positive
         assert not second.is_positive
+
+    def test_unicode_identifier_does_not_satisfy_a_variable(self, engine1):
+        # `éi = i + 1` never increments `i`; the template guards must see
+        # `éi` as one identifier, just as the lexer does
+        source = _WITH_EI_DECLARED.replace("i++;", "éi = i + 1;")
+        assert "éi = i + 1;" in source
+        report = engine1.grade(source)
+        assert not report.is_positive
+        assert "i is incremented by 1" not in report.render()
+        ascii_twin = engine1.grade(source.replace("éi", "zi"))
+        assert report.render().replace("éi", "zi") == ascii_twin.render()
 
 
 class TestFrontendCache:
