@@ -88,7 +88,7 @@ async def grade_request(service, assignment_name, body):
 
 @contextlib.asynccontextmanager
 async def started_service(**overrides):
-    kwargs = dict(port=0, pool_mode="process", debug_hooks=True)
+    kwargs = dict(port=0, debug_hooks=True)
     kwargs.update(overrides)
     service = GradingService(ServiceConfig(**kwargs))
     await service.start()

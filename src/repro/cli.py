@@ -350,7 +350,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        pool_mode=args.pool_mode,
         queue_capacity=args.queue,
         default_deadline_seconds=args.deadline,
         max_deadline_seconds=max(args.deadline, args.max_deadline),
@@ -372,7 +371,7 @@ def _cmd_serve(args) -> int:
         await service.start()
         print(
             f"repro grading service on http://{config.host}:{service.port} "
-            f"({config.workers} {config.pool_mode} workers, "
+            f"({config.workers} process workers, "
             f"queue {config.queue_capacity}, "
             f"deadline {config.default_deadline_seconds:g}s)",
             flush=True,
@@ -676,10 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0 for ephemeral; default 8652)")
     serve.add_argument("--workers", type=int, default=None,
                        help="grading worker processes (default: up to 4)")
-    serve.add_argument("--pool-mode", choices=["process", "inline"],
-                       default="process",
-                       help="process workers (hard deadline kills) or "
-                            "inline threads (cooperative deadline only)")
+    # accepted for compatibility with existing scripts; process workers
+    # are the only pool
+    serve.add_argument("--pool-mode", choices=["process"],
+                       help=argparse.SUPPRESS)
     serve.add_argument("--queue", type=int, default=64,
                        help="admitted requests allowed to wait for a "
                             "worker before 429 (default 64)")

@@ -53,8 +53,8 @@ class ClusterGrader:
     ``store`` is an optional :class:`~repro.core.storage.ResultStore`;
     when given, bucket records persist fingerprint-keyed, so a warm run
     specializes every member of a previously seen bucket without a
-    single full grade.  Bucket state is guarded by a lock — one
-    instance serves all executor threads of an inline service pool.
+    single full grade.  Bucket state is guarded by a lock, so one
+    instance can be shared across threads.
     """
 
     def __init__(

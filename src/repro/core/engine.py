@@ -30,11 +30,11 @@ class FeedbackEngine:
 
     The engine's only mutable state is a bounded frontend cache mapping
     source text to its parse/EPDG-build result (guarded by a lock, so a
-    single instance can still be shared across the inline service pool's
-    threads).  MOOC cohorts are duplicate-heavy, so re-submissions and
-    copy-paste variants skip the ``parse`` and ``epdg_build`` phases
-    entirely; EPDGs are immutable after construction and the matcher only
-    reads them, so sharing graphs between repeated grades is safe.
+    single instance can be shared across threads).  MOOC cohorts are
+    duplicate-heavy, so re-submissions and copy-paste variants skip the
+    ``parse`` and ``epdg_build`` phases entirely; EPDGs are immutable
+    after construction and the matcher only reads them, so sharing
+    graphs between repeated grades is safe.
 
     Each pipeline phase (parse, EPDG build, matching) runs inside a
     :func:`repro.instrumentation.phase` block; when an ambient
@@ -142,14 +142,6 @@ class FeedbackEngine:
                 cache.pop(next(iter(cache)))
             cache[source] = result
 
-    def grade_unit(self, unit: ast.CompilationUnit) -> GradingReport:
-        """Grade an already-parsed submission."""
-        with phase("epdg_build"):
-            graphs = extract_all_epdgs(
-                unit, self.assignment.synthesize_else_conditions
-            )
-        return self.grade_graphs(graphs, unit=unit)
-
     def grade_graphs(
         self, graphs, unit: ast.CompilationUnit | None = None
     ) -> GradingReport:
@@ -179,7 +171,3 @@ class FeedbackEngine:
             diagnostics=diagnostics,
             **findings,
         )
-
-    def extract(self, source: str):
-        """Parse a submission and build its EPDGs (benchmark helper)."""
-        return extract_all_epdgs(parse_submission(source))

@@ -312,9 +312,9 @@ class BatchGrader:
         Pool size for process mode; defaults to the host's CPU count.
         Ignored in serial mode.
     cache:
-        ``True`` (default) for a private :class:`ResultCache`, ``False``
-        to disable caching, or a :class:`ResultCache` instance to share
-        one cache across graders/batches.
+        ``True`` (default) for a private :class:`ResultCache` that
+        replays repeats across this grader's batches, ``False`` to
+        disable caching.
     max_seconds:
         Optional per-submission wall-clock budget.  A submission whose
         parse/match exceeds it is abandoned cooperatively (the matcher
@@ -384,7 +384,7 @@ class BatchGrader:
         assignment: Assignment,
         mode: str = "serial",
         workers: int | None = None,
-        cache: ResultCache | bool = True,
+        cache: bool = True,
         max_seconds: float | None = None,
         store: ResultStore | str | os.PathLike | None = None,
         cluster: bool = False,
@@ -406,12 +406,7 @@ class BatchGrader:
             else max(1, workers if workers is not None
                      else (os.cpu_count() or 1))
         )
-        if cache is True:
-            self.cache: ResultCache | None = ResultCache()
-        elif cache is False:
-            self.cache = None
-        else:
-            self.cache = cache
+        self.cache = ResultCache() if cache else None
         self.profile = GradingProfile(
             cluster=cluster, repair=repair, perf=perf
         )

@@ -5,7 +5,7 @@ clustering (:mod:`repro.cluster`) and the repair (:mod:`repro.repair`)
 and perf (:mod:`repro.analysis.perf`) feedback channels.
 :func:`build_grader` is the only place that constructs the channels and
 the :class:`~repro.cluster.grader.ClusterGrader`; the batch pipeline,
-its process workers, both serve pool modes and the campaign runner all
+its process workers, the serve pool's workers and the campaign runner all
 call it, so every path grades, and scopes its store, the same way.
 """
 

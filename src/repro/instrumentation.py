@@ -12,8 +12,8 @@ When no collector is installed — the common case for one-off
 ``FeedbackEngine.grade`` calls — :func:`phase` is a no-op costing one
 context-variable read.  The batch pipeline installs a fresh
 :class:`PhaseCollector` per submission via :func:`collecting`, which
-also makes the mechanism safe under thread pools (the service's inline
-pool): each worker task installs its own collector in its own context.
+also makes the mechanism safe under thread pools: each worker task
+installs its own collector in its own context.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 every layer (including :mod:`repro.matching`, which :mod:`repro.core`

@@ -85,7 +85,7 @@ class RepairEngine:
     mutable state is the lazily-initialized corpus and a per-entry
     candidate-EPDG cache, both written idempotently (rebuilding or
     re-parsing yields identical values), so sharing an instance across
-    the inline service pool's threads is safe.
+    threads is safe.
     """
 
     name = "repair"

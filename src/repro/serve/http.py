@@ -65,7 +65,9 @@ class HttpRequest:
         """The body as a JSON object, or 400."""
         try:
             payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack
             raise HttpError(400, f"body is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise HttpError(400, "body must be a JSON object")

@@ -27,10 +27,8 @@ share the service's result store: cluster bucket records and the
 repair corpus persist there.  The content-keyed result cache lives in
 the *parent* (the service), in front of this pool.
 
-``mode="inline"`` grades in the event loop's executor threads with
-only the cooperative deadline — no processes, no hard kill.  It exists
-for unit tests and platforms where fork is expensive; the service
-default is ``"process"``.
+Workers are forked where the platform can fork and spawned elsewhere;
+either way every job runs in a process the parent can kill.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ from repro.core.profile import GradingProfile, build_grader
 from repro.core.report import GradingReport
 from repro.instrumentation import PhaseCollector
 from repro.kb import get_assignment
-
-POOL_MODES = ("process", "inline")
 
 #: Extra wall-clock seconds the parent grants beyond the cooperative
 #: deadline before it kills the worker.
@@ -111,11 +107,11 @@ def _close_inherited_fds(keep: frozenset[int]) -> None:
 class _Graders:
     """Per-assignment graders, built on first use, that run pool jobs.
 
-    Each worker process owns one set; the inline slots share one.  Jobs
-    are ``(assignment_name, source, max_seconds, hang_seconds)``
-    and results ``(report, collector, seconds)``.  ``hang_seconds`` is
-    the load-test hook: it stalls the worker *before* grading, standing
-    in for the pathological submission the hard deadline exists for.
+    Each worker process owns one set.  Jobs are ``(assignment_name,
+    source, max_seconds, hang_seconds)`` and results ``(report,
+    collector, seconds)``.  ``hang_seconds`` is the load-test hook: it
+    stalls the worker *before* grading, standing in for the
+    pathological submission the hard deadline exists for.
     """
 
     def __init__(
@@ -294,19 +290,13 @@ class GradingWorkerPool:
     def __init__(
         self,
         workers: int = 2,
-        mode: str = "process",
         store_root: str | None = None,
         store_backend: str = "auto",
         profile: GradingProfile = GradingProfile(),
     ):
-        if mode not in POOL_MODES:
-            raise ValueError(
-                f"unknown pool mode {mode!r}; expected one of {POOL_MODES}"
-            )
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.workers = workers
-        self.mode = mode
         self.profile = profile
         self.store_root = store_root
         self.store_backend = store_backend
@@ -314,16 +304,11 @@ class GradingWorkerPool:
         self._free: asyncio.Queue = asyncio.Queue()
         self._executor: ThreadPoolExecutor | None = None
         self._context = None
-        # inline slots share one set of graders across their threads;
-        # each process worker owns its own
-        self._inline = self._graders()
         self._started = False
 
-    def _graders(self) -> _Graders:
-        return _Graders(self.profile, self.store_root, self.store_backend)
-
-    def _spawn_handle(self) -> "_WorkerHandle":
-        return _WorkerHandle(self._context, self._graders())
+    def _spawn_handle(self) -> _WorkerHandle:
+        graders = _Graders(self.profile, self.store_root, self.store_backend)
+        return _WorkerHandle(self._context, graders)
 
     async def start(self) -> None:
         if self._started:
@@ -333,21 +318,17 @@ class GradingWorkerPool:
             max_workers=2 * self.workers,
             thread_name_prefix="repro-serve-pool",
         )
-        if self.mode == "process":
-            methods = multiprocessing.get_all_start_methods()
-            self._context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            loop = asyncio.get_running_loop()
-            handles = await asyncio.gather(*[
-                loop.run_in_executor(self._executor, self._spawn_handle)
-                for _ in range(self.workers)
-            ])
-            for handle in handles:
-                self._free.put_nowait(handle)
-        else:
-            for _ in range(self.workers):
-                self._free.put_nowait(None)  # inline slots
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        loop = asyncio.get_running_loop()
+        handles = await asyncio.gather(*[
+            loop.run_in_executor(self._executor, self._spawn_handle)
+            for _ in range(self.workers)
+        ])
+        for handle in handles:
+            self._free.put_nowait(handle)
         self._started = True
 
     async def grade(
@@ -360,59 +341,27 @@ class GradingWorkerPool:
         """Grade one submission on the next free worker."""
         if not self._started:
             raise RuntimeError("pool not started")
-        slot = await self._free.get()
+        handle = await self._free.get()
         loop = asyncio.get_running_loop()
         try:
-            if self.mode == "inline":
-                return await self._grade_inline(
-                    loop, assignment_name, source, max_seconds,
-                    hang_seconds,
-                )
             hard_timeout = (
                 max_seconds + KILL_GRACE_SECONDS
                 if max_seconds is not None
                 else None
             )
             result, worker_dead = await loop.run_in_executor(
-                self._executor, slot.execute,
+                self._executor, handle.execute,
                 assignment_name, source, max_seconds, hang_seconds,
                 hard_timeout,
             )
             if worker_dead:
                 self.respawns += 1
-                slot = await loop.run_in_executor(
+                handle = await loop.run_in_executor(
                     self._executor, self._spawn_handle
                 )
             return result
         finally:
-            self._free.put_nowait(slot)
-
-    async def _grade_inline(
-        self, loop, assignment_name, source, max_seconds, hang_seconds,
-    ) -> PoolResult:
-        job = (assignment_name, source, max_seconds, hang_seconds)
-        hard_timeout = (
-            max_seconds + KILL_GRACE_SECONDS
-            if max_seconds is not None
-            else None
-        )
-        future = loop.run_in_executor(self._executor, self._inline.run, job)
-        try:
-            report, collector, seconds = await asyncio.wait_for(
-                asyncio.shield(future), hard_timeout
-            )
-            return PoolResult(report, collector, seconds)
-        except asyncio.TimeoutError:
-            # no process to kill inline: abandon the thread (it still
-            # holds an executor slot until it returns) and answer with
-            # the same synthesized timeout the process mode produces
-            self.respawns += 1
-            return PoolResult(
-                _timeout_report(assignment_name, max_seconds),
-                None,
-                hard_timeout or 0.0,
-                killed=True,
-            )
+            self._free.put_nowait(handle)
 
     async def stop(self) -> None:
         """Shut every worker down; in-flight jobs should be done."""
@@ -422,11 +371,10 @@ class GradingWorkerPool:
         loop = asyncio.get_running_loop()
         shutdowns = []
         while not self._free.empty():
-            slot = self._free.get_nowait()
-            if slot is not None:
-                shutdowns.append(
-                    loop.run_in_executor(self._executor, slot.shutdown)
-                )
+            handle = self._free.get_nowait()
+            shutdowns.append(
+                loop.run_in_executor(self._executor, handle.shutdown)
+            )
         if shutdowns:
             await asyncio.gather(*shutdowns, return_exceptions=True)
         if self._executor is not None:

@@ -71,9 +71,6 @@ class ServiceConfig:
     workers: int = field(
         default_factory=lambda: max(2, min(4, os.cpu_count() or 2))
     )
-    #: ``"process"`` (hard deadline kills) or ``"inline"`` (threads,
-    #: cooperative deadline only — tests and fork-less platforms).
-    pool_mode: str = "process"
     #: Admitted-but-unfinished requests beyond the worker slots; the
     #: admission capacity is ``workers + queue_capacity``.
     queue_capacity: int = 64
@@ -138,7 +135,6 @@ class GradingService:
         )
         self.pool = GradingWorkerPool(
             workers=self.config.workers,
-            mode=self.config.pool_mode,
             store_root=(
                 str(self.config.cache_dir)
                 if self.config.cache_dir is not None

@@ -134,14 +134,12 @@ class TestCampaignRunner:
 
 
 class TestServePool:
-    def test_inline_pool_grades_with_perf(self):
+    def test_pool_grades_with_perf(self):
         from repro.core.profile import GradingProfile
         from repro.serve import GradingWorkerPool
 
         async def grade(profile):
-            pool = GradingWorkerPool(
-                workers=1, mode="inline", profile=profile
-            )
+            pool = GradingWorkerPool(workers=1, profile=profile)
             await pool.start()
             try:
                 return await pool.grade(

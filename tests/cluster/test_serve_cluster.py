@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.core.profile import GradingProfile
 from repro.serve import GradingWorkerPool
 
@@ -19,15 +17,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def test_inline_pool_cluster_output_matches_plain(assignment1, audit1):
+def test_pool_cluster_output_matches_plain(assignment1, audit1):
     base = assignment1.reference_solutions[0]
     members = [base] + [make_variant(base, audit1, v) for v in (1, 2)]
 
     async def go():
-        plain_pool = GradingWorkerPool(workers=1, mode="inline")
-        cluster_pool = GradingWorkerPool(
-            workers=1, mode="inline", profile=CLUSTER
-        )
+        plain_pool = GradingWorkerPool(workers=1)
+        cluster_pool = GradingWorkerPool(workers=1, profile=CLUSTER)
         await plain_pool.start()
         await cluster_pool.start()
         try:
@@ -70,7 +66,7 @@ def test_cluster_counters_surface_through_the_pool(audit1):
     assert members[0] != members[1]
 
     async def go():
-        pool = GradingWorkerPool(workers=1, mode="inline", profile=CLUSTER)
+        pool = GradingWorkerPool(workers=1, profile=CLUSTER)
         await pool.start()
         try:
             return [
@@ -87,10 +83,7 @@ def test_cluster_counters_surface_through_the_pool(audit1):
     assert second.collector.counters.get("cluster.specialized") == 1
 
 
-@pytest.mark.parametrize("mode", ["inline", "process"])
-def test_pool_buckets_persist_in_the_cache_dir(
-    assignment1, audit1, tmp_path, mode
-):
+def test_pool_buckets_persist_in_the_cache_dir(assignment1, audit1, tmp_path):
     # a second pool over the same cache dir — a restarted service —
     # specializes an alpha-renamed resubmission from the stored bucket
     first, renamed = (make_variant(SOURCE, audit1, v) for v in (1, 2))
@@ -98,7 +91,7 @@ def test_pool_buckets_persist_in_the_cache_dir(
 
     async def grade_once(source):
         pool = GradingWorkerPool(
-            workers=1, mode=mode, store_root=str(tmp_path), profile=CLUSTER
+            workers=1, store_root=str(tmp_path), profile=CLUSTER
         )
         await pool.start()
         try:

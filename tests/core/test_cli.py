@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.kb import get_assignment
 
 
@@ -154,6 +154,29 @@ class TestTest:
         assert main(["test", "assignment1", buggy_file]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+class TestServeArgs:
+    # perfbench's served workload starts the service with exactly these
+    PERFBENCH_ARGS = ["serve", "--port", "0", "--workers", "2",
+                      "--pool-mode", "process"]
+
+    def test_perfbench_arguments_parse(self):
+        args = build_parser().parse_args(self.PERFBENCH_ARGS)
+        assert (args.port, args.workers) == (0, 2)
+
+    def test_inline_pool_mode_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", "--port", "0", "--pool-mode", "inline"]
+            )
+        assert excinfo.value.code == 2
+        assert "--pool-mode" in capsys.readouterr().err
+
+    def test_pool_mode_is_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "--pool-mode" not in capsys.readouterr().out
 
 
 class TestEpdg:

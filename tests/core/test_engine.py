@@ -4,7 +4,6 @@ import pytest
 
 from repro import FeedbackEngine, FeedbackStatus, get_assignment
 from repro.instrumentation import collecting
-from repro.java import parse_submission
 from repro.kb.assignments.assignment1 import FIGURE_2B
 
 #: Assignment 1's reference loop plus a declared variable ``éi``, which
@@ -40,12 +39,8 @@ class TestFeedbackEngine:
         assert report.score == 0.0
         assert "does not compile" in report.render()
 
-    def test_grade_unit(self, engine1):
-        report = engine1.grade_unit(parse_submission(FIGURE_2B))
-        assert report.is_positive
-
     def test_grade_graphs(self, engine1):
-        graphs = engine1.extract(FIGURE_2B)
+        graphs = engine1.frontend(FIGURE_2B)
         report = engine1.grade_graphs(graphs)
         assert report.is_positive
 

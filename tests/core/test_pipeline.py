@@ -142,13 +142,6 @@ class TestCaching:
         assert result.stats.graded == 2
         assert result.stats.cache_hits == 0
 
-    def test_shared_cache_across_graders(self, assignment1):
-        source = assignment1.reference_solutions[0]
-        shared = ResultCache()
-        BatchGrader(assignment1, cache=shared).grade_batch([source])
-        rerun = BatchGrader(assignment1, cache=shared).grade_batch([source])
-        assert rerun.stats.cache_hits == 1
-
     def test_parse_error_reports_are_cached_too(self, assignment1):
         grader = BatchGrader(assignment1)
         grader.grade_batch([BROKEN])
@@ -272,12 +265,10 @@ class TestMaxSeconds:
         source = assignment1.reference_solutions[0]
         grader = BatchGrader(assignment1, max_seconds=1e-9)
         assert grader.grade_batch([source]).reports[0].status == "timeout"
-        # a fresh grader sharing the cache must regrade, not replay
-        retry = BatchGrader(assignment1, cache=grader.cache).grade_batch(
-            [source]
-        )
-        assert retry.reports[0].status == "ok"
-        assert retry.stats.cache_hits == 0
+        assert len(grader.cache) == 0
+        # the resubmission must regrade, not replay the timeout
+        retry = grader.grade_batch([source])
+        assert retry.stats.cache_hits == 0 and retry.stats.graded == 1
 
     def test_timeout_applies_in_process_mode(self, assignment1):
         source = assignment1.reference_solutions[0]

@@ -73,22 +73,16 @@ class TestScopePin:
             assignment1, profile, None, str(tmp_path), "json",
         )
         via("campaign", CampaignRunner, assignment1, tmp_path, **flags)
-        workers = serve_pool.GradingWorkerPool(
-            workers=1, mode="inline", store_root=str(tmp_path),
-            profile=profile,
-        )
+        graders = serve_pool._Graders(profile, str(tmp_path), "auto")
         job = ("assignment1", assignment1.reference_solutions[0], None, 0)
-        via("serve-inline", workers._inline.run, job)
-        via("serve-process", workers._graders().run, job)
+        via("serve-process", graders.run, job)
 
-        service = GradingService(
-            ServiceConfig(pool_mode="inline", cache_dir=tmp_path, **flags)
-        )
+        service = GradingService(ServiceConfig(cache_dir=tmp_path, **flags))
         opened["serve-parent"] = service._tier("assignment1").store.fingerprint
 
         assert opened == dict.fromkeys(
-            ["batch", "process-worker", "campaign", "serve-inline",
-             "serve-process", "serve-parent"],
+            ["batch", "process-worker", "campaign", "serve-process",
+             "serve-parent"],
             expected,
         )
 

@@ -23,11 +23,10 @@ from repro.serve import pool
 async def running_service(**overrides):
     """A started :class:`GradingService` on an ephemeral port.
 
-    Defaults to the inline pool (no fork cost) with debug hooks on;
-    tests override per-scenario (e.g. ``pool_mode="process"`` for the
-    hard-kill path).  Always drained on exit.
+    Two workers with debug hooks on; tests override per-scenario.
+    Always drained on exit.
     """
-    kwargs = dict(port=0, workers=2, pool_mode="inline", debug_hooks=True)
+    kwargs = dict(port=0, workers=2, debug_hooks=True)
     kwargs.update(overrides)
     service = GradingService(ServiceConfig(**kwargs))
     await service.start()

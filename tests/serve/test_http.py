@@ -136,9 +136,15 @@ class TestHttpRequestJson:
         assert request.json() == {"a": 1}
 
     def test_invalid_json_is_400(self):
-        with pytest.raises(HttpError) as excinfo:
-            HttpRequest("POST", "/", body=b"{nope").json()
-        assert excinfo.value.status == 400
+        for body in (
+            b"{nope",
+            # nested past the decoder's recursion limit, yet well under
+            # MAX_BODY_BYTES
+            b"[" * 100_000,
+        ):
+            with pytest.raises(HttpError) as excinfo:
+                HttpRequest("POST", "/", body=body).json()
+            assert excinfo.value.status == 400
 
     def test_non_object_is_400(self):
         with pytest.raises(HttpError) as excinfo:

@@ -1,7 +1,7 @@
 """End-to-end tests for the grading service over real sockets.
 
-Most scenarios run on the inline pool (no fork cost); the hard-kill
-path gets one process-mode test mirroring the bench's hang scenario.
+Every scenario runs on the service's process pool; the hard-kill path
+gets one test mirroring the bench's hang scenario.
 """
 
 from __future__ import annotations
@@ -401,9 +401,7 @@ class TestOverloadAndDeadlines:
 
     def test_hard_kill_in_process_mode(self, good_source):
         async def go():
-            async with running_service(
-                pool_mode="process", workers=2
-            ) as service:
+            async with running_service(workers=2) as service:
                 hang = asyncio.create_task(grade_call(
                     service, "assignment1",
                     {
