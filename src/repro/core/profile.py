@@ -94,12 +94,10 @@ class GradingProfile:
         self,
         root: str | os.PathLike[str],
         assignment: Assignment,
-        backend: str = "auto",
     ) -> ResultStore:
         """The result store under ``root`` scoped to this profile."""
         return ResultStore(
-            root, assignment, backend=backend, repair=self.repair,
-            perf=self.perf,
+            root, assignment, repair=self.repair, perf=self.perf
         )
 
 
@@ -112,9 +110,7 @@ def _corpus_store(
     corpus_profile = GradingProfile(repair=True)
     if store.fingerprint == corpus_profile.scope(assignment):
         return store
-    return corpus_profile.open_store(
-        store.root, assignment, store.backend_name
-    )
+    return corpus_profile.open_store(store.root, assignment)
 
 
 def _scope_hint(

@@ -1,38 +1,15 @@
-"""Persistent result storage: one store contract, pluggable backends.
+"""Persistent result storage: one SQLite database per cache directory.
 
-PR-4 introduced :class:`ResultStore` as a directory of sharded JSON
-entries; this package generalizes it into a **backend interface** so the
-same store contract — content-addressed grading reports, KB-fingerprint
-invalidation, cluster-bucket records, corruption-as-miss — can ride
-different on-disk representations:
+:class:`ResultStore` keeps content-addressed grading reports,
+cluster-bucket records, repair-corpus records and campaign journals for
+one assignment under one KB version.  The bytes live in
+:mod:`repro.core.storage.sqlite_backend`: a single WAL-mode database
+(``<root>/store.sqlite``, or ``root`` itself when it names a ``*.sqlite``
+/ ``*.db`` file) shared by every assignment, scope and process pointed
+at the same root.  Writes can be grouped into one transaction
+(:meth:`ResultStore.batch`), which is what makes campaign shards cheap.
 
-* :mod:`repro.core.storage.json_backend` — the PR-4 layout: one atomic
-  JSON file per entry, sharded by key prefix.  Zero setup, ``rm -rf``
-  safe, ideal for small/medium caches and debugging (entries are
-  greppable files).
-* :mod:`repro.core.storage.sqlite_backend` — a single SQLite database in
-  WAL mode: concurrent readers never block the writer, writes can be
-  batched into one transaction per shard, and a million entries cost one
-  file and one file descriptor instead of a million inodes.  This is the
-  backend the million-submission campaign runner
-  (:mod:`repro.core.campaign`) is built for.
-
-The facade is unchanged for callers: ``ResultStore(root, assignment)``
-still works everywhere it did, now with an optional
-``backend="auto" | "json" | "sqlite"`` selector.  ``"auto"`` picks
-SQLite when ``root`` names a ``*.sqlite`` / ``*.db`` file or a
-directory containing ``store.sqlite`` (what ``repro store migrate``
-leaves behind), and JSON otherwise — so migrating a cache directory in
-place transparently flips every consumer that points at it.
-
-**Invariant across backends:** a report stored through one backend and
-read through another renders byte-identically.  Both persist the same
-``GradingReport.to_dict()`` payload inside the same validated envelope
-(schema version, full KB fingerprint, content key); only the bytes
-around the envelope differ.  ``benchmarks/bench_campaign.py`` gates
-this end-to-end.
-
-The envelope rules are owned here, not by the backends:
+The envelope rules are owned here, not by the database layer:
 
 * **Content-addressed.**  Keys are :func:`repro.core.pipeline.source_key`
   hashes (SHA-256 of normalized source).
@@ -41,8 +18,8 @@ The envelope rules are owned here, not by the backends:
   The full fingerprint is stored inside each entry and verified on read.
 * **Corruption-tolerant.**  A truncated, unreadable, or
   schema-mismatched entry is a cache miss, never an error — and never a
-  wrong report.  This holds for torn JSON files, corrupted SQLite
-  database images, and corrupted ``-wal`` sidecars alike.
+  wrong report.  This holds for torn rows, corrupted database images,
+  and corrupted ``-wal`` sidecars alike.
 """
 
 from __future__ import annotations
@@ -54,8 +31,7 @@ from pathlib import Path
 from repro.analysis.checks import analysis_fingerprint
 from repro.core.assignment import Assignment
 from repro.core.report import GradingReport
-from repro.core.storage.json_backend import JsonBackend
-from repro.core.storage.sqlite_backend import SQLITE_FILENAME, SqliteBackend
+from repro.core.storage.sqlite_backend import SqliteBackend
 
 #: Entry format version.  Bump when the on-disk layout or the meaning of a
 #: stored report changes; old entries then read as misses.  Version 2:
@@ -63,17 +39,14 @@ from repro.core.storage.sqlite_backend import SQLITE_FILENAME, SqliteBackend
 #: characters, which :func:`kb_fingerprint` cannot see.
 SCHEMA_VERSION = 2
 
-#: Supported backend names (``"auto"`` resolves to one of these).
-BACKENDS = ("json", "sqlite")
-
-#: Characters allowed verbatim in the assignment path component.
+#: Characters allowed verbatim in an assignment's scope name.
 _SAFE_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_."
 )
 
 
 def _safe_component(name: str) -> str:
-    """Make an assignment name safe to use as a directory name."""
+    """Make a name safe to use as a scope or campaign-id component."""
     cleaned = "".join(ch if ch in _SAFE_CHARS else "_" for ch in name)
     return cleaned or "_"
 
@@ -104,28 +77,6 @@ def kb_fingerprint(assignment: Assignment) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def resolve_backend(root: str | os.PathLike[str], backend: str = "auto") -> str:
-    """Resolve ``backend`` (possibly ``"auto"``) against ``root``.
-
-    ``"auto"`` chooses SQLite when ``root`` is (or names) a database
-    file, or when the directory already holds a ``store.sqlite`` — the
-    state ``repro store migrate`` leaves behind — and JSON otherwise.
-    """
-    if backend in BACKENDS:
-        return backend
-    if backend != "auto":
-        raise ValueError(
-            f"unknown store backend {backend!r}; "
-            f"expected one of {('auto', *BACKENDS)}"
-        )
-    path = Path(root)
-    if path.suffix in (".sqlite", ".db") or path.is_file():
-        return "sqlite"
-    if (path / SQLITE_FILENAME).is_file():
-        return "sqlite"
-    return "json"
-
-
 class ResultStore:
     """On-disk grading cache for one assignment under one KB version.
 
@@ -133,17 +84,12 @@ class ResultStore:
     multiple processes.  ``get`` returns ``None`` for anything it cannot
     fully read and validate; ``put`` returns ``False`` instead of raising
     when the entry cannot be written.
-
-    ``backend`` selects the on-disk representation (see the package
-    docstring); the default ``"auto"`` keeps existing JSON caches
-    working and picks up migrated SQLite ones transparently.
     """
 
     def __init__(
         self,
         root: str | os.PathLike[str],
         assignment: Assignment,
-        backend: str = "auto",
         repair: bool = False,
         perf: bool = False,
     ):
@@ -161,23 +107,9 @@ class ResultStore:
             assignment
         )
         self.root = Path(root)
-        self.backend_name = resolve_backend(self.root, backend)
-        scope = (_safe_component(assignment.name), self.fingerprint)
-        if self.backend_name == "sqlite":
-            self.backend = SqliteBackend(self.root, scope)
-        else:
-            self.backend = JsonBackend(self.root, scope)
-
-    # ------------------------------------------------------------------
-    # paths (JSON backend only; kept for tooling and tests)
-
-    def path_for(self, key: str) -> Path:
-        """Entry path for a content key (JSON backend only)."""
-        return self.backend.path_for(key)
-
-    def cluster_path_for(self, fingerprint: str) -> Path:
-        """Entry path for a cluster record (JSON backend only)."""
-        return self.backend.cluster_path_for(fingerprint)
+        self.backend = SqliteBackend(
+            self.root, (_safe_component(assignment.name), self.fingerprint)
+        )
 
     # ------------------------------------------------------------------
     # read side
@@ -322,14 +254,14 @@ class ResultStore:
             return False
 
     def batch(self):
-        """Context manager grouping writes into one backend transaction.
+        """Context manager grouping writes into one transaction.
 
-        A no-op for the JSON backend (every entry is its own atomic
-        file); for SQLite it wraps the block in a single ``BEGIN
-        IMMEDIATE … COMMIT``, which is what makes high-volume campaign
-        shards cheap — one fsync per shard instead of one per report.
-        Crash-safety is unchanged either way: a transaction that never
-        commits rolls back to misses, never to torn entries.
+        The block runs inside a single ``BEGIN IMMEDIATE … COMMIT``,
+        which is what makes high-volume campaign shards cheap — one
+        commit per shard instead of one per report.  It holds the
+        database's write lock, so keep grading out of it: another
+        process writing meanwhile waits for the lock.  A transaction
+        that never commits rolls back to misses, never to torn entries.
         """
         return self.backend.batch()
 
@@ -346,11 +278,8 @@ class ResultStore:
 
 
 __all__ = [
-    "BACKENDS",
-    "JsonBackend",
     "ResultStore",
     "SCHEMA_VERSION",
     "SqliteBackend",
     "kb_fingerprint",
-    "resolve_backend",
 ]

@@ -6,8 +6,8 @@ recipe (Wang et al.; Singh et al., PAPERS.md):
 
 1. :mod:`repro.repair.corpus` — a per-assignment corpus of
    functionally-verified correct solutions, seeded from the KB's
-   reference solutions plus synth sampling and persisted through the
-   :mod:`repro.core.storage` backends (record kind ``repair``);
+   reference solutions plus synth sampling and persisted in the
+   :mod:`repro.core.storage` result store (record kind ``repair``);
 2. :mod:`repro.repair.search` — nearest-neighbor search over the corpus
    by EPDG distance, with cheap signature pre-filtering and a
    deadline-aware budget;

@@ -11,7 +11,7 @@ is admitted.  Synthetic candidates are drawn from
 which front-loads near-reference variants and gives the corpus cheap
 structural diversity.
 
-Persistence rides the :mod:`repro.core.storage` backends as record kind
+Persistence rides the :mod:`repro.core.storage` result store as record kind
 ``"repair"``: one record per entry keyed by the solution's content key,
 plus an index record under :data:`INDEX_KEY` listing the entry keys.
 The store envelope already scopes records by KB fingerprint, so a

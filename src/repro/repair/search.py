@@ -92,7 +92,7 @@ def rank_candidates(
 
     Sorted ascending by distance, then key — so the ordering (and
     therefore which candidates get aligned under a tight budget) is
-    stable across runs and backends.
+    stable across runs.
     """
     ranked = sorted(
         (signature_distance(submission, signature), key)

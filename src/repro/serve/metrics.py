@@ -159,9 +159,9 @@ def render_prometheus(snapshot: dict) -> str:
     for key in ("submissions", "graded", "cache_hits", "parse_errors",
                 "timeouts", "errors"):
         emit(f"pipeline_{key}", pipeline.get(key, 0))
-    # persistent-store visibility: an info gauge naming the active
-    # backend, plus the pipeline's cache.store_* traffic labelled with
-    # it (so dashboards can compare hit rates across backends)
+    # persistent-store visibility: an info gauge naming the store
+    # ("sqlite", or "none" without a cache directory), plus the
+    # pipeline's cache.store_* traffic labelled with it
     store = snapshot.get("store", {})
     backend = store.get("backend", "none")
     emit("store_backend", 1, f'{{backend="{backend}"}}')

@@ -118,11 +118,9 @@ class _Graders:
         self,
         profile: GradingProfile,
         store_root: str | None,
-        store_backend: str,
     ):
         self.profile = profile
         self.store_root = store_root
-        self.store_backend = store_backend
         self._graders: dict[str, object] = {}
 
     def run(self, job: tuple) -> tuple[GradingReport, PhaseCollector, float]:
@@ -134,9 +132,7 @@ class _Graders:
             if grader is None:
                 assignment = get_assignment(assignment_name)
                 store = (
-                    self.profile.open_store(
-                        self.store_root, assignment, self.store_backend
-                    )
+                    self.profile.open_store(self.store_root, assignment)
                     if self.store_root is not None
                     else None
                 )
@@ -291,7 +287,6 @@ class GradingWorkerPool:
         self,
         workers: int = 2,
         store_root: str | None = None,
-        store_backend: str = "auto",
         profile: GradingProfile = GradingProfile(),
     ):
         if workers <= 0:
@@ -299,7 +294,6 @@ class GradingWorkerPool:
         self.workers = workers
         self.profile = profile
         self.store_root = store_root
-        self.store_backend = store_backend
         self.respawns = 0
         self._free: asyncio.Queue = asyncio.Queue()
         self._executor: ThreadPoolExecutor | None = None
@@ -307,7 +301,7 @@ class GradingWorkerPool:
         self._started = False
 
     def _spawn_handle(self) -> _WorkerHandle:
-        graders = _Graders(self.profile, self.store_root, self.store_backend)
+        graders = _Graders(self.profile, self.store_root)
         return _WorkerHandle(self._context, graders)
 
     async def start(self) -> None:

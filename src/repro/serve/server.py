@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from repro.core.pipeline import ResultCache, TieredCache, source_key
 from repro.core.profile import GradingProfile
 from repro.core.report import GradingReport
-from repro.core.storage import resolve_backend
 from repro.errors import KnowledgeBaseError
 from repro.kb import all_assignment_names, get_assignment
 from repro.serve.admission import AdmissionController
@@ -82,12 +81,6 @@ class ServiceConfig:
     #: A restarted service — or a batch run pointed at the same
     #: directory — replays previously graded submissions from disk.
     cache_dir: str | os.PathLike | None = None
-    #: Store representation for ``cache_dir``: ``"auto"`` (default;
-    #: picks SQLite when the directory holds a ``store.sqlite``, which
-    #: is what ``repro store migrate`` leaves behind), ``"json"``, or
-    #: ``"sqlite"``.  SQLite is the right choice when other processes
-    #: (a batch run, a campaign) share the cache directory.
-    store_backend: str = "auto"
     #: Grade via submission clustering (:mod:`repro.cluster`): each
     #: worker buckets structurally duplicate submissions and
     #: specializes one representative's report instead of re-grading.
@@ -140,7 +133,6 @@ class GradingService:
                 if self.config.cache_dir is not None
                 else None
             ),
-            store_backend=self.config.store_backend,
             profile=self.profile,
         )
         self._tiers: dict[str, TieredCache] = {}
@@ -346,9 +338,7 @@ class GradingService:
         if tiers is None:
             store = (
                 self.profile.open_store(
-                    self.config.cache_dir,
-                    get_assignment(assignment_name),
-                    self.config.store_backend,
+                    self.config.cache_dir, get_assignment(assignment_name)
                 )
                 if self.config.cache_dir is not None
                 else None
@@ -358,20 +348,10 @@ class GradingService:
         return tiers
 
     def _store_info(self) -> dict:
-        """``/metrics`` store section: which backend this service uses.
-
-        Resolved without constructing a store (``"auto"`` is decided by
-        what sits in the cache directory), so the section is accurate
-        before the first grade request touches disk.
-        """
+        """``/metrics`` store section: whether this service has a store."""
         if self.config.cache_dir is None:
             return {"enabled": False, "backend": "none"}
-        return {
-            "enabled": True,
-            "backend": resolve_backend(
-                self.config.cache_dir, self.config.store_backend
-            ),
-        }
+        return {"enabled": True, "backend": "sqlite"}
 
     async def _grade(
         self, request: HttpRequest, assignment_name: str

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cluster import ClusterGrader
@@ -41,7 +39,7 @@ class TestStoreRoundTrip:
             cold_report = cold.grade(v1)
         assert cold_stats.counters.get("cluster.representatives") == 1
         digest = fingerprint_source(v1, audit1).digest
-        assert store.cluster_path_for(digest).exists()
+        assert store.get_cluster(digest) is not None
 
         # a fresh grader over the same store: no representative grade,
         # the whole bucket is served from the persisted record
@@ -83,10 +81,9 @@ class TestClusterKeyForwardCompat:
 
         # simulate an entry written before clustering existed: strip the
         # cluster key from the payload entirely
-        path = store.path_for("pre-cluster")
-        entry = json.loads(path.read_text())
+        entry = store.backend.read("entry", "pre-cluster")
         entry.pop("cluster", None)
-        path.write_text(json.dumps(entry))
+        assert store.backend.write("entry", "pre-cluster", entry)
 
         assert store.cluster_key("pre-cluster") is None
         restored = store.get("pre-cluster")

@@ -70,10 +70,10 @@ class TestScopePin:
         via("batch", BatchGrader, assignment1, store=tmp_path, **flags)
         via(
             "process-worker", pipeline._init_process_worker,
-            assignment1, profile, None, str(tmp_path), "json",
+            assignment1, profile, None, str(tmp_path),
         )
         via("campaign", CampaignRunner, assignment1, tmp_path, **flags)
-        graders = serve_pool._Graders(profile, str(tmp_path), "auto")
+        graders = serve_pool._Graders(profile, str(tmp_path))
         job = ("assignment1", assignment1.reference_solutions[0], None, 0)
         via("serve-process", graders.run, job)
 

@@ -3,7 +3,7 @@
 The store's contract is deliberately forgiving: anything it cannot
 fully read and validate is a miss, writes race benignly, and a changed
 knowledge base invalidates by landing in a different fingerprint
-directory.  Every one of those claims gets a test here, plus the
+scope.  Every one of those claims gets a test here, plus the
 pipeline integration (counters, promotion into the in-memory cache, and
 the no-reuse ``cache=False`` baseline staying store-free).
 """
@@ -48,15 +48,6 @@ class TestRoundTrip:
     def test_missing_key_is_a_miss(self, store):
         assert store.get("0" * 64) is None
         assert store.entry_count() == 0
-
-    def test_entries_are_sharded_by_key_prefix(
-        self, store, assignment1, engine1
-    ):
-        report = _report(assignment1, engine1)
-        store.put("ab" + "0" * 62, report)
-        store.put("cd" + "0" * 62, report)
-        assert store.path_for("ab" + "0" * 62).parent.name == "ab"
-        assert store.entry_count() == 2
 
     def test_overwrite_is_idempotent(self, store, assignment1, engine1):
         report = _report(assignment1, engine1)
@@ -114,46 +105,70 @@ class TestKbVersioning:
         assert _safe_component("") == "_"
 
 
+class _StoredRow:
+    """The database row holding one stored entry, read and overwritten raw."""
+
+    def __init__(self, store, key):
+        self.backend = store.backend
+        self.where = (self.backend._assignment, self.backend._kb, "entry", key)
+
+    def read(self) -> str:
+        return self.backend._connection().execute(
+            "SELECT entry FROM records"
+            " WHERE assignment = ? AND kb = ? AND kind = ? AND key = ?",
+            self.where,
+        ).fetchone()[0]
+
+    def write(self, value) -> None:
+        conn = self.backend._connection()
+        conn.execute(
+            "UPDATE records SET entry = ?"
+            " WHERE assignment = ? AND kb = ? AND kind = ? AND key = ?",
+            (value, *self.where),
+        )
+        conn.commit()
+
+
 class TestCorruptionTolerance:
     def _stored(self, store, assignment1, engine1):
         key = "c" * 64
         store.put(key, _report(assignment1, engine1))
-        return key, store.path_for(key)
+        return key, _StoredRow(store, key)
 
     def test_truncated_entry_is_a_miss(self, store, assignment1, engine1):
-        key, path = self._stored(store, assignment1, engine1)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        key, row = self._stored(store, assignment1, engine1)
+        row.write(row.read()[: len(row.read()) // 2])
         assert store.get(key) is None
 
     def test_garbage_entry_is_a_miss(self, store, assignment1, engine1):
-        key, path = self._stored(store, assignment1, engine1)
-        path.write_bytes(b"\x00\xffnot json at all")
+        key, row = self._stored(store, assignment1, engine1)
+        row.write(b"\x00\xffnot json at all")
         assert store.get(key) is None
 
     def test_empty_entry_is_a_miss(self, store, assignment1, engine1):
-        key, path = self._stored(store, assignment1, engine1)
-        path.write_text("")
+        key, row = self._stored(store, assignment1, engine1)
+        row.write("")
         assert store.get(key) is None
 
     def test_schema_mismatch_is_a_miss(self, store, assignment1, engine1):
-        key, path = self._stored(store, assignment1, engine1)
-        entry = json.loads(path.read_text())
+        key, row = self._stored(store, assignment1, engine1)
+        entry = json.loads(row.read())
         entry["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(entry))
+        row.write(json.dumps(entry))
         assert store.get(key) is None
 
     def test_key_mismatch_is_a_miss(self, store, assignment1, engine1):
-        key, path = self._stored(store, assignment1, engine1)
-        entry = json.loads(path.read_text())
+        key, row = self._stored(store, assignment1, engine1)
+        entry = json.loads(row.read())
         entry["key"] = "d" * 64
-        path.write_text(json.dumps(entry))
+        row.write(json.dumps(entry))
         assert store.get(key) is None
 
     def test_undecodable_report_is_a_miss(self, store, assignment1, engine1):
-        key, path = self._stored(store, assignment1, engine1)
-        entry = json.loads(path.read_text())
+        key, row = self._stored(store, assignment1, engine1)
+        entry = json.loads(row.read())
         entry["report"] = {"nonsense": True}
-        path.write_text(json.dumps(entry))
+        row.write(json.dumps(entry))
         assert store.get(key) is None
 
     def test_unwritable_root_fails_softly(
@@ -180,9 +195,8 @@ class TestConcurrentWriters:
                     key = keys[(seed + i) % len(keys)]
                     assert store.put(key, report) is True
                     loaded = store.get(key)
-                    # a concurrent writer may be mid-replace, but the
-                    # atomic rename means we see a full entry or a miss,
-                    # never a torn read
+                    # a concurrent writer may be mid-transaction, but
+                    # we see a full entry or a miss, never a torn read
                     if loaded is not None:
                         assert loaded.to_dict() == report.to_dict()
             except Exception as exc:  # pragma: no cover - failure path
@@ -199,25 +213,6 @@ class TestConcurrentWriters:
         assert store.entry_count() == len(keys)
         for key in keys:
             assert store.get(key).to_dict() == report.to_dict()
-
-    def test_no_stray_temp_files_after_racing(
-        self, store, assignment1, engine1
-    ):
-        report = _report(assignment1, engine1)
-        threads = [
-            threading.Thread(
-                target=lambda: [
-                    store.put("9" * 64, report) for _ in range(20)
-                ]
-            )
-            for _ in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        leftovers = list(store.root.rglob("*.tmp"))
-        assert leftovers == []
 
 
 class TestPipelineIntegration:

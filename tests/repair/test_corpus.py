@@ -2,7 +2,7 @@
 
 The admission bar is functional: nothing enters a corpus without
 passing the assignment's test suite.  Persistence rides the result
-store's ``repair`` kind on both backends, and every corruption mode —
+store's ``repair`` kind, and every corruption mode —
 flipped bytes, truncation, a writer killed before the index lands —
 must degrade to *fewer* suggestions, never a wrong one.
 """
@@ -16,12 +16,14 @@ import sys
 
 import pytest
 
+import repro
 from repro.core.pipeline import source_key
 from repro.core.storage import ResultStore
 from repro.repair.corpus import INDEX_KEY, CorpusEntry, RepairCorpus
 from repro.testing import run_tests_on_source
 
-BACKENDS = ("json", "sqlite")
+#: The ``src`` directory this ``repro`` was imported from, for children.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +31,8 @@ def corpus1(assignment1):
     return RepairCorpus.build(assignment1, synth_samples=4)
 
 
-def repair_store(tmp_path, assignment, backend):
-    return ResultStore(tmp_path, assignment, backend=backend, repair=True)
+def repair_store(tmp_path, assignment):
+    return ResultStore(tmp_path, assignment, repair=True)
 
 
 class TestBuild:
@@ -87,23 +89,22 @@ class TestEntryDecoding:
         assert CorpusEntry.from_record(entry.key, tampered) is None
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPersistence:
-    def test_save_then_load(self, tmp_path, assignment1, corpus1, backend):
-        store = repair_store(tmp_path, assignment1, backend)
+    def test_save_then_load(self, tmp_path, assignment1, corpus1):
+        store = repair_store(tmp_path, assignment1)
         assert corpus1.save(store) == len(corpus1)
         loaded = RepairCorpus.load(assignment1, store)
         assert loaded is not None
         assert loaded.entries == corpus1.entries
 
-    def test_load_without_index_is_none(self, tmp_path, assignment1, backend):
-        store = repair_store(tmp_path, assignment1, backend)
+    def test_load_without_index_is_none(self, tmp_path, assignment1):
+        store = repair_store(tmp_path, assignment1)
         assert RepairCorpus.load(assignment1, store) is None
 
     def test_missing_entry_is_dropped_not_fatal(
-        self, tmp_path, assignment1, corpus1, backend
+        self, tmp_path, assignment1, corpus1
     ):
-        store = repair_store(tmp_path, assignment1, backend)
+        store = repair_store(tmp_path, assignment1)
         corpus1.save(store)
         store.put_repair(
             INDEX_KEY,
@@ -117,9 +118,9 @@ class TestPersistence:
         assert loaded.entries == corpus1.entries
 
     def test_tampered_entry_is_dropped(
-        self, tmp_path, assignment1, corpus1, backend
+        self, tmp_path, assignment1, corpus1
     ):
-        store = repair_store(tmp_path, assignment1, backend)
+        store = repair_store(tmp_path, assignment1)
         corpus1.save(store)
         victim = corpus1.entries[0]
         store.put_repair(
@@ -132,26 +133,39 @@ class TestPersistence:
 
 
 class TestJsonDurability:
-    """Byte-level corruption only reaches the sharded-JSON layout."""
+    """Corrupted JSON in the stored rows degrades, never misleads."""
 
     def _saved_store(self, tmp_path, assignment1, corpus1):
-        store = repair_store(tmp_path, assignment1, "json")
+        store = repair_store(tmp_path, assignment1)
         corpus1.save(store)
         return store
 
-    def _entry_files(self, store):
-        repair_dir = store.backend.repair_path_for("x" * 64).parent.parent
-        return sorted(repair_dir.glob("*/*.json"))
+    def _rows(self, store):
+        """``{key: raw envelope}`` for every repair record in scope."""
+        backend = store.backend
+        return dict(backend._connection().execute(
+            "SELECT key, entry FROM records"
+            " WHERE assignment = ? AND kb = ? AND kind = 'repair'",
+            (backend._assignment, backend._kb),
+        ).fetchall())
+
+    def _overwrite(self, store, key, raw):
+        backend = store.backend
+        conn = backend._connection()
+        conn.execute(
+            "UPDATE records SET entry = ? WHERE assignment = ? AND kb = ?"
+            " AND kind = 'repair' AND key = ?",
+            (raw, backend._assignment, backend._kb, key),
+        )
+        conn.commit()
 
     def test_truncated_entry_degrades_to_drop(
         self, tmp_path, assignment1, corpus1
     ):
         store = self._saved_store(tmp_path, assignment1, corpus1)
-        index_path = store.backend.repair_path_for(INDEX_KEY)
-        for path in self._entry_files(store):
-            if path == index_path:
-                continue
-            path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        for key, raw in self._rows(store).items():
+            if key != INDEX_KEY:
+                self._overwrite(store, key, raw[: len(raw) // 2])
         loaded = RepairCorpus.load(assignment1, store)
         assert loaded is not None
         assert len(loaded) == 0
@@ -160,7 +174,7 @@ class TestJsonDurability:
         self, tmp_path, assignment1, corpus1
     ):
         store = self._saved_store(tmp_path, assignment1, corpus1)
-        store.backend.repair_path_for(INDEX_KEY).write_text("{not json")
+        self._overwrite(store, INDEX_KEY, "{not json")
         assert RepairCorpus.load(assignment1, store) is None
 
     def test_index_with_wrong_shape_reads_as_no_corpus(
@@ -175,35 +189,31 @@ class TestJsonDurability:
     ):
         store = self._saved_store(tmp_path, assignment1, corpus1)
         victim = corpus1.entries[0]
-        path = store.backend.repair_path_for(victim.key)
-        envelope = json.loads(path.read_text())
+        envelope = json.loads(self._rows(store)[victim.key])
         envelope["record"]["source"] = envelope["record"]["source"].replace(
             "==", "!="
         )
-        path.write_text(json.dumps(envelope))
+        self._overwrite(store, victim.key, json.dumps(envelope))
         loaded = RepairCorpus.load(assignment1, store)
         assert loaded is not None
         assert victim.key not in {e.key for e in loaded.entries}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestKilledWriter:
     """A SIGKILL'd saver leaves either no corpus or a valid prefix."""
 
     def test_killed_mid_save_never_yields_wrong_entries(
-        self, tmp_path, assignment1, backend
+        self, tmp_path, assignment1
     ):
         code = f"""
 import os, sys
-sys.path.insert(0, {os.fspath('src')!r})
+sys.path.insert(0, {_SRC!r})
 from repro.core.storage import ResultStore
 from repro.kb import get_assignment
 from repro.repair.corpus import RepairCorpus
 
 assignment = get_assignment("assignment1")
-store = ResultStore(
-    {os.fspath(tmp_path)!r}, assignment, backend={backend!r}, repair=True
-)
+store = ResultStore({os.fspath(tmp_path)!r}, assignment, repair=True)
 corpus = RepairCorpus.build(assignment, synth_samples=2)
 saved = 0
 for entry in corpus.entries:
@@ -216,18 +226,15 @@ store.put_repair("corpus", {{"entries": [], "count": 0}})
 """
         import subprocess
 
-        env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            cwd="/root/repo",
-            env=env,
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert "KILL-ME" in proc.stdout
         assert proc.returncode == -signal.SIGKILL
-        store = repair_store(tmp_path, assignment1, backend)
+        store = repair_store(tmp_path, assignment1)
         loaded = RepairCorpus.load(assignment1, store)
         # The index never landed, so the corpus reads as "not built" —
         # the engine will rebuild rather than align against a torso.

@@ -123,9 +123,7 @@ class TestSuggest:
 
 class TestCorpusLifecycle:
     def test_builds_once_and_saves_to_store(self, tmp_path, assignment1):
-        store = ResultStore(
-            tmp_path, assignment1, backend="json", repair=True
-        )
+        store = ResultStore(tmp_path, assignment1, repair=True)
         config = RepairConfig(synth_samples=2)
         first = RepairEngine(assignment1, store=store, config=config)
         with collecting() as phases:

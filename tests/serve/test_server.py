@@ -134,14 +134,11 @@ class TestGrading:
         assert second[1]["from_cache"] is True
         assert second[1]["report"] == first[1]["report"]
 
-    @pytest.mark.parametrize("store_backend", ["json", "sqlite"])
     def test_persistent_cache_survives_a_service_restart(
-        self, assignment1, good_source, tmp_path, store_backend
+        self, assignment1, good_source, tmp_path
     ):
         async def serve_once():
-            async with running_service(
-                cache_dir=tmp_path, store_backend=store_backend
-            ) as service:
+            async with running_service(cache_dir=tmp_path) as service:
                 status, payload = await grade_call(
                     service, "assignment1", {"source": good_source}
                 )
@@ -157,9 +154,9 @@ class TestGrading:
         assert second[1]["from_cache"] is True
         assert second[1]["report"] == first[1]["report"]
         # the report landed in the store, under the content key
-        record = ResultStore(
-            tmp_path, assignment1, backend=store_backend
-        ).get(source_key(good_source))
+        record = ResultStore(tmp_path, assignment1).get(
+            source_key(good_source)
+        )
         assert record.to_dict() == first[1]["report"]
         assert first[2].get("cache.store_writes") == 1
         assert second[2].get("cache.store_hits") == 1
