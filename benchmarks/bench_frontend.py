@@ -26,7 +26,8 @@ Three workloads cover the frontend performance pass end to end:
   disk, zero ``match.*`` counter activity, and report payloads identical
   to the first run's.
 
-Results are written to ``BENCH_frontend.json`` at the repository root,
+Full-run results are written to ``BENCH_frontend.json`` at the
+repository root (``--quick`` writes nothing unless given ``--json``),
 including the per-phase cost breakdown (parse / epdg_build /
 pattern_match / constraint_match / assignment_solve) that
 ``docs/PERFORMANCE.md`` cites.
@@ -423,13 +424,17 @@ def test_warm_store_second_process_grades_nothing():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="fewer timing rounds (CI smoke test)")
-    parser.add_argument("--json", type=Path, default=DEFAULT_JSON,
-                        help=f"report path (default {DEFAULT_JSON.name})")
+                        help="fewer timing rounds (CI smoke test); does "
+                             f"not rewrite {DEFAULT_JSON.name}")
+    parser.add_argument("--json", type=Path, default=None,
+                        help=f"report path (default {DEFAULT_JSON.name}, "
+                             "none with --quick)")
     args = parser.parse_args(argv)
     report = run_benchmark(quick=args.quick)
-    args.json.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.json}")
+    out = args.json or (None if args.quick else DEFAULT_JSON)
+    if out is not None:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out}")
     ok, failures = check(report)
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -24,7 +24,8 @@ Two workloads exercise the two optimization layers:
   and thus feedback detail wording — are legitimately order-sensitive,
   see ``bench_ablation_ordering.py``).
 
-Results are written to ``BENCH_matcher.json`` at the repository root,
+Full-run results are written to ``BENCH_matcher.json`` at the
+repository root (``--quick`` writes nothing unless given ``--json``),
 including the matcher's instrumentation counters (candidates pruned,
 nodes visited) for the optimized runs.
 
@@ -281,13 +282,17 @@ def test_kb_standard_equivalent_and_not_slower():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="fewer timing rounds (CI smoke test)")
-    parser.add_argument("--json", type=Path, default=DEFAULT_JSON,
-                        help=f"report path (default {DEFAULT_JSON.name})")
+                        help="fewer timing rounds (CI smoke test); does "
+                             f"not rewrite {DEFAULT_JSON.name}")
+    parser.add_argument("--json", type=Path, default=None,
+                        help=f"report path (default {DEFAULT_JSON.name}, "
+                             "none with --quick)")
     args = parser.parse_args(argv)
     report = run_benchmark(quick=args.quick)
-    args.json.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.json}")
+    out = args.json or (None if args.quick else DEFAULT_JSON)
+    if out is not None:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out}")
     ok, failures = check(report)
     for failure in failures:
         print(f"FAIL: {failure}")

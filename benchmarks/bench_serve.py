@@ -16,7 +16,8 @@ Three scenarios, mirroring the service's design goals:
   alongside healthy traffic; the hard deadline must kill it while
   every healthy request completes normally.
 
-Results land in ``BENCH_serve.json`` at the repo root.
+Full-run results land in ``BENCH_serve.json`` at the repo root;
+``--quick`` writes nothing.
 
 Run standalone (CI smoke-tests ``--quick``)::
 
@@ -312,7 +313,8 @@ def test_hung_submission_killed_while_others_complete():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="small cohort / burst (CI smoke test)")
+                        help="small cohort / burst (CI smoke test); does "
+                             "not rewrite BENCH_serve.json")
     parser.add_argument("--size", type=int, default=None,
                         help="cohort size (default 240, or 60 with --quick)")
     parser.add_argument("--workers", type=int, default=4)
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
         "overload": overload,
         "hang": hang,
     }
-    if not args.no_write:
+    if not quick and not args.no_write:
         RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {RESULT_PATH}")
 
