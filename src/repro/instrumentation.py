@@ -196,6 +196,10 @@ def count(name: str, amount: int = 1) -> None:
         safety valve cut a search short.
     ``match.assignments_truncated``
         Times the method-assignment sweep hit its permutation cap.
+    ``match.regex_compiles``
+        Regexes an expression template compiled for one binding γ: only
+        templates without a one regex, and contents or names holding
+        ``\\x00``, take that path (see :mod:`repro.patterns.template`).
 
     The execution engine emits ``interp.compile_hits`` /
     ``interp.compile_misses`` — compiled-program cache traffic from

@@ -17,6 +17,47 @@ Authoring rules:
 * a single space matches any run of whitespace, letting one template match
   both canonical and hand-written spacing.
 
+**One regex per template.**  Substituting γ into the regex text
+(:meth:`ExprTemplate.render`) would compile a new regex for every new
+spelling of the names, and alpha-renamed submissions bring many.  So
+each template is compiled once, with γ moved from the pattern into the
+subject.  For the mentioned variables ``v_0 … v_{N-1}`` in sorted order
+the regex is ::
+
+    \\A(?P<_g0>[^\\x00]*)\\x00 … (?P<_gN-1>[^\\x00]*)\\x00(?s:.*?)(?:BODY)
+
+where every occurrence of ``v_k`` in ``BODY`` is
+``BOUNDARY_BEFORE (?P=_gk) BOUNDARY_AFTER``, and :meth:`matches` runs
+``.match`` on ``γ[v_0] \\x00 … γ[v_{N-1}] \\x00 content``.  This answers
+exactly as searching ``content`` with the rendered regex:
+
+* the anchored prefix forces group *k* to be exactly ``γ[v_k]`` (no
+  value holds ``\\x00``), and a backreference compares it literally, as
+  the escaped name does;
+* ``(?s:.*?)`` tries every start offset in the content, as ``search``
+  does, and the ``(?:…)`` wrapper keeps a top-level ``|`` under it;
+* the one difference is at content offset 0, where a lookbehind sees
+  ``\\x00`` instead of the start of the string; ``BOUNDARY_BEFORE`` cannot
+  tell the two apart, because ``\\x00`` is not an identifier character.
+
+The render-per-γ path (:meth:`ExprTemplate.render` compiled through an
+LRU cache) remains for the cases that argument does not cover:
+
+* literal text with ``^``, ``\\A`` or ``\\B`` (they see the start of the
+  string), a lookbehind (it can see the prefix), ``(?P``, ``(?(`` or
+  ``\\1``–``\\9`` (the prefix's groups shift the numbering, and a
+  template group could clash by name), or an inline flag (``(?i)`` would
+  make the backreferences case-insensitive);
+* a template whose rendered form does not compile, so that it still
+  raises :class:`~repro.errors.PatternDefinitionError` at match time (the
+  wrapper alone would accept ``a)|(b``); whether it compiles does not
+  depend on γ, so one check at construction decides;
+* a content or γ value holding ``\\x00``, and an unbound variable.
+
+A template without variables is its own one regex and is searched
+directly.  Every compile on the render-per-γ path counts
+``match.regex_compiles`` (see :func:`repro.instrumentation.count`).
+
 Every template also has a **γ-free form**, compiled once, that matches
 at least every content some γ makes the template match, so
 ``matches(c, γ)`` implies ``may_match(c)``.  Algorithm 1 uses the
@@ -45,6 +86,7 @@ import re
 from functools import lru_cache
 
 from repro.errors import PatternDefinitionError
+from repro.instrumentation import count
 
 # identifiers *in templates* never contain `$` (it is the regex
 # end-anchor there); submission identifiers may, which the boundary
@@ -56,9 +98,9 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: every non-ASCII character.  It is spelled as the complement of the
 #: other ASCII characters: the same set as ``A-Za-z0-9_$\u0080-\U0010ffff``,
 #: which ``re`` takes ~17 ms to compile (it walks the range) where this
-#: takes ~0.2 ms — and every γ renders a new regex.  It also searches
-#: faster than ``[\w$]`` (1.8 µs against 2.2 µs for a two-variable
-#: template; Python 3.11, x86-64).
+#: takes ~0.2 ms — and the render-per-γ path compiles one per new γ.  It
+#: also searches faster than ``[\w$]`` (1.8 µs against 2.2 µs for a
+#: two-variable template; Python 3.11, x86-64).
 IDENTIFIER_CHARS = r"^\x00-#%-/:-@\[-^`{-\x7f"
 BOUNDARY_BEFORE = rf"(?<![{IDENTIFIER_CHARS}])"
 BOUNDARY_AFTER = rf"(?![{IDENTIFIER_CHARS}])"
@@ -67,6 +109,13 @@ ANY_IDENTIFIER = rf"[{IDENTIFIER_CHARS}]+"
 #: A regex that matches nothing: a variable inside a negative lookaround
 #: in the γ-free form.
 NOTHING = "(?!)"
+
+#: Literal template text under which the one-regex form is not exact
+#: (module docstring): ``^``, ``\A``, ``\B``, numbered backreferences,
+#: lookbehinds, ``(?P``, conditional groups and inline flags.
+#: Conservative: an escaped ``\^`` also hits, which only costs that
+#: template its one regex.
+_PER_BINDING_ONLY = re.compile(r"\^|\\[AB1-9]|\(\?(?:<[=!]|P|\(|[aiLmsux-])")
 
 
 class ExprTemplate:
@@ -99,6 +148,8 @@ class ExprTemplate:
             for kind, segment in self._segments
         ]
         self._gamma_free = self._compile_gamma_free()
+        self._names = tuple(sorted(mentioned))
+        self._one_regex = self._compile_one_regex()
 
     def _compile_gamma_free(self) -> re.Pattern[str] | None:
         """The γ-free form (module docstring), or ``None`` if it has none."""
@@ -122,6 +173,33 @@ class ExprTemplate:
             # an invalid template still fails in ``matches``, as before;
             # a form only the γ-free rewrite breaks (a variable inside a
             # positive look-behind) rules nothing out
+            return None
+
+    def _compile_one_regex(self) -> re.Pattern[str] | None:
+        """The one regex (module docstring), or ``None`` to render per γ."""
+        if not self.source:
+            return None
+        literal = "".join(
+            segment for kind, segment in self._regex_segments if kind == "lit"
+        )
+        if self._names and _PER_BINDING_ONLY.search(literal):
+            return None
+        group = {name: f"_g{k}" for k, name in enumerate(self._names)}
+        prefix = "".join(rf"(?P<{group[n]}>[^\x00]*)\x00" for n in self._names)
+        body = "".join(
+            segment if kind == "lit"
+            else f"{BOUNDARY_BEFORE}(?P={group[segment]}){BOUNDARY_AFTER}"
+            for kind, segment in self._regex_segments
+        )
+        try:
+            # whether the rendered form compiles does not depend on γ
+            rendered = re.compile(
+                self.render(dict.fromkeys(self._names, "x0"))
+            )
+            if not self._names:
+                return rendered
+            return re.compile(rf"\A{prefix}(?s:.*?)(?:{body})")
+        except re.error:
             return None
 
     def _split(self, source: str) -> list[tuple[str, str]]:
@@ -169,8 +247,24 @@ class ExprTemplate:
         """Test ``self ⪯_γ content`` (substring semantics)."""
         if not self.source:
             return True
-        regex = _compile(self.render(gamma))
-        return regex.search(content) is not None
+        regex = self._one_regex
+        if regex is not None:
+            if not self._names:
+                return regex.search(content) is not None
+            try:
+                subject = "\0".join([gamma[name] for name in self._names])
+            except KeyError:
+                pass  # unbound: ``render`` raises
+            else:
+                subject += "\0" + content
+                if subject.count("\0") == len(self._names):
+                    return regex.match(subject) is not None
+        return _compile(self.render(gamma)).search(content) is not None
+
+    @property
+    def renders_per_binding(self) -> bool:
+        """Whether :meth:`matches` compiles a regex for each new γ."""
+        return bool(self.source) and self._one_regex is None
 
     def may_match(self, content: str) -> bool:
         """Whether ``self ⪯_γ content`` holds for *some* γ over identifiers.
@@ -229,6 +323,7 @@ def _negated_positions(regex: str) -> set[int] | None:
 
 @lru_cache(maxsize=4096)
 def _compile(pattern: str) -> re.Pattern[str]:
+    count("match.regex_compiles")
     try:
         return re.compile(pattern)
     except re.error as error:
