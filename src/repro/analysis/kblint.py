@@ -32,6 +32,12 @@ Rules (all findings carry a rule id, severity, and location):
     template cannot be compiled by the matcher's own regex machinery
     once variables are bound — it would raise at match time, on the
     first submission that reaches it.
+``per-binding-template``
+    A warning: a node or containment expression whose literal text uses
+    a construct the matcher's one compiled regex per template cannot
+    express (see :mod:`repro.patterns.template`), so matching it
+    compiles a new regex for every new binding of its variables —
+    slow on renamed submissions, but still correct.
 ``unbound-feedback-placeholder``
     A feedback template references ``{name}`` where ``name`` is not a
     variable of the pattern (for pattern/node feedback) or of any
@@ -314,66 +320,82 @@ def _disconnected_nodes(pattern: Pattern) -> set[int]:
     return set(adjacency) - visited
 
 
-def _rule_invalid_expression(
+def _expression_templates(
     assignment: "Assignment",
-) -> Iterator[LintFinding]:
+) -> Iterator[tuple[str, ExprTemplate]]:
+    """Every node and containment-constraint template, with its location."""
     for method in assignment.expected_methods:
         for entry, _count in method.patterns:
             for pattern in _variants(entry):
                 for node in pattern.nodes:
-                    templates = [("expr", node.expr)]
+                    where = (
+                        f"method {method.name} / pattern {pattern.name} / "
+                        f"node {node.name}"
+                    )
+                    yield f"{where} (expr)", node.expr
                     if node.approx is not None:
-                        templates.append(("approx", node.approx))
-                    for label, template in templates:
-                        problem = _template_problem(template)
-                        if problem is not None:
-                            yield LintFinding(
-                                rule="invalid-node-expression",
-                                severity=Severity.ERROR,
-                                assignment=assignment.name,
-                                location=(
-                                    f"method {method.name} / pattern "
-                                    f"{pattern.name} / node {node.name} "
-                                    f"({label})"
-                                ),
-                                message=problem,
-                            )
+                        yield f"{where} (approx)", node.approx
         for method_constraint in method.constraints:
             if isinstance(method_constraint, ContainmentConstraint):
-                problem = _template_problem(method_constraint.expr)
-                if problem is not None:
-                    yield LintFinding(
-                        rule="invalid-node-expression",
-                        severity=Severity.ERROR,
-                        assignment=assignment.name,
-                        location=(
-                            f"method {method.name} / constraint "
-                            f"{method_constraint.name} (expr)"
-                        ),
-                        message=problem,
-                    )
+                yield (
+                    f"method {method.name} / constraint "
+                    f"{method_constraint.name} (expr)",
+                    method_constraint.expr,
+                )
+
+
+def _rule_invalid_expression(
+    assignment: "Assignment",
+) -> Iterator[LintFinding]:
+    for location, template in _expression_templates(assignment):
+        problem = _template_problem(template)
+        if problem is not None:
+            yield LintFinding(
+                rule="invalid-node-expression",
+                severity=Severity.ERROR,
+                assignment=assignment.name,
+                location=location,
+                message=problem,
+            )
 
 
 def _template_problem(template: ExprTemplate) -> str | None:
     """Why ``template`` would fail at match time, or ``None`` if fine.
 
     Exercises exactly the matcher's own path: bind every declared
-    variable to a plain identifier, render, and compile the resulting
-    regex (the frontend canonicalizes node content, and templates are
-    regexes over that canonical form).
+    variable to a plain identifier and match.  A template with a one
+    regex was compiled when it was built; any other renders and compiles
+    its regex here, and whether that compiles does not depend on γ.
     """
-    if not template.source:
-        return None
-    gamma = {variable: "x0" for variable in template.variables}
+    gamma = dict.fromkeys(template.variables, "x0")
     try:
-        rendered = template.render(gamma)
-        re.compile(rendered)
-    except (PatternDefinitionError, re.error) as error:
+        template.matches("", gamma)
+    except PatternDefinitionError as error:
         return (
             f"expression template {template.source!r} cannot be compiled: "
             f"{error}"
         )
     return None
+
+
+def _rule_per_binding_template(
+    assignment: "Assignment",
+) -> Iterator[LintFinding]:
+    for location, template in _expression_templates(assignment):
+        if template.renders_per_binding and _template_problem(template) is None:
+            yield LintFinding(
+                rule="per-binding-template",
+                severity=Severity.WARNING,
+                assignment=assignment.name,
+                location=location,
+                message=(
+                    f"expression template {template.source!r} uses a "
+                    "construct the one-regex form cannot express (^, \\A, "
+                    "\\B, a lookbehind, (?P, (?(, \\1-\\9 or an inline "
+                    "flag), so the matcher compiles a new regex for every "
+                    "new binding of its variables"
+                ),
+            )
 
 
 def _rule_unbound_placeholder(
@@ -605,6 +627,7 @@ LINT_RULES: tuple[tuple[str, RuleRunner], ...] = (
     ("duplicate-pattern", _rule_duplicate_pattern),
     ("disconnected-pattern", _rule_disconnected_pattern),
     ("invalid-node-expression", _rule_invalid_expression),
+    ("per-binding-template", _rule_per_binding_template),
     ("unbound-feedback-placeholder", _rule_unbound_placeholder),
     ("unmatchable-pattern", _rule_unmatchable_pattern),
     ("dangling-cost-shape-reference", _rule_dangling_cost_shape),

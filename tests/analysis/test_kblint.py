@@ -143,6 +143,24 @@ class TestSeededDefects:
         ])
         assert "invalid-node-expression" in rules_of(lint_assignment(bad))
 
+    def test_per_binding_template_is_a_warning(self):
+        # ``^`` keeps the template off the one-regex form: correct, but
+        # every new binding of ``v`` compiles a regex
+        slow = make_pattern("p", nodes=[
+            make_node(0, source="^v = 1"), make_node(1),
+        ])
+        findings = lint_assignment(make_assignment([(slow, 1)]))
+        assert rules_of(findings) == {"per-binding-template"}
+        assert [f.severity for f in findings] == [Severity.WARNING]
+        assert findings[0].location.endswith("node u0 (expr)")
+
+    def test_invalid_template_is_not_also_a_per_binding_warning(self):
+        bad = make_pattern("p", nodes=[
+            make_node(0, source="^v = ("), make_node(1),
+        ])
+        findings = lint_assignment(make_assignment([(bad, 1)]))
+        assert rules_of(findings) == {"invalid-node-expression"}
+
     def test_unbound_feedback_placeholder_in_pattern(self):
         bad_pattern = make_pattern(
             "p", feedback_missing="initialize {ghost} first"
@@ -242,6 +260,7 @@ class TestReportRendering:
             "duplicate-pattern",
             "disconnected-pattern",
             "invalid-node-expression",
+            "per-binding-template",
             "unbound-feedback-placeholder",
             "unmatchable-pattern",
             "dangling-cost-shape-reference",
