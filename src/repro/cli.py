@@ -42,6 +42,7 @@ as JSON.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import pathlib
 import sys
@@ -56,9 +57,24 @@ from repro.testing import run_tests_on_source
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
+    """A submission file (``-``: stdin) as UTF-8 text, newlines universal.
+
+    A byte that is not UTF-8 decodes to a lone surrogate
+    (``surrogateescape``): in code it grades ``parse-error`` like any
+    other unlexable character, instead of aborting the command.
+    """
+    if path != "-":
+        return pathlib.Path(path).read_text(
+            encoding="utf-8", errors="surrogateescape"
+        )
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # an in-memory text stream: already decoded
         return sys.stdin.read()
-    return pathlib.Path(path).read_text()
+    stdin = io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape")
+    try:
+        return stdin.read()
+    finally:
+        stdin.detach()  # leave sys.stdin open
 
 
 def _cmd_list(_args) -> int:
@@ -106,7 +122,7 @@ def _collect_batch(args) -> list[tuple[str, str]]:
         path = pathlib.Path(entry)
         if path.is_dir():
             for java in sorted(path.glob("*.java")):
-                cohort.append((java.name, java.read_text()))
+                cohort.append((java.name, _read_source(str(java))))
         else:
             cohort.append((path.name if entry != "-" else "<stdin>",
                            _read_source(entry)))

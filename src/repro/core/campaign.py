@@ -417,7 +417,9 @@ def iter_manifest(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
             elif "path" in record:
                 source_path = base / str(record["path"])
                 try:
-                    source = source_path.read_text(encoding="utf-8")
+                    source = source_path.read_text(
+                        encoding="utf-8", errors="surrogateescape"
+                    )
                 except OSError as error:
                     raise CampaignError(
                         f"{manifest}:{number}: cannot read "
