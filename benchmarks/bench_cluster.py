@@ -93,7 +93,7 @@ def build_cohort(assignment, distinct: int, variants: int, seed: int = 7):
     cohort = []
     for i, sample in enumerate(samples):
         sprint = fingerprint_source(sample.source, audit)
-        if sprint is None or not sprint.replay_safe:
+        if sprint is None:
             continue
         names = sorted(sprint.spellings)
         slot_width = max(1, (max(len(names) - 1, 1)).bit_length())

@@ -253,7 +253,7 @@ def _cmd_grade_campaign(args) -> int:
 def _cmd_store(args) -> int:
     import sqlite3
 
-    from repro.core.storage.sqlite_backend import database_path
+    from repro.core.storage import database_path
 
     db = database_path(pathlib.Path(args.directory))
     print(f"store root: {args.directory}")

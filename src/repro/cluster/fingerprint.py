@@ -80,20 +80,14 @@ class SourcePrint:
     first-occurrence (slot) order — the member side of the bucket
     bijection.  ``positions`` holds every token's 1-based
     ``(line, column)``; the specializer maps diagnostic positions
-    between bucket mates by token index.  ``unsafe_reason`` is an
-    escape valve for hazards that cannot be resolved by keeping a
-    spelling; every current gate resolves that way, so it stays
-    ``None``.
+    between bucket mates by token index.  Every rename hazard is
+    resolved by keeping the spelling fixed, so every source that lexes
+    has a print.
     """
 
     digest: str
     spellings: tuple[str, ...]
     positions: tuple[tuple[int, int], ...]
-    unsafe_reason: str | None = None
-
-    @property
-    def replay_safe(self) -> bool:
-        return self.unsafe_reason is None
 
 
 def _normalize_number(kind: str, text: str) -> str:

@@ -12,9 +12,13 @@ used (the batch pipeline's workers, the serve pool).  Per submission:
 
 Everything the safety gates cannot prove equivalent falls back to the
 engine's ordinary ``grade``: assignments whose knowledge base fails the
-audit, sources that do not lex, submissions with rename-hazardous
-identifiers, records that fail to build or to specialize.  Fallbacks
-cost one counter, never correctness.
+audit, sources that do not lex, records that fail to build or to
+specialize.  Fallbacks cost one counter, never correctness.
+
+The in-memory bucket registry keeps at most :data:`MAX_BUCKETS`
+records and drops the oldest beyond that; a dropped bucket reloads
+from the store, or its next member is graded in full, so reports never
+change.
 
 Counters (flowing into ``PipelineStats`` via the ambient phase
 collector):
@@ -46,6 +50,10 @@ from repro.core.engine import FeedbackEngine
 from repro.core.report import GradingReport
 from repro.instrumentation import count, phase
 
+#: Bucket records one grader keeps in memory, oldest dropped first — the
+#: capacity of the :class:`~repro.core.pipeline.ResultCache` in front.
+MAX_BUCKETS = 8192
+
 
 class ClusterGrader:
     """Grade submissions bucket-wise through one wrapped engine.
@@ -70,19 +78,6 @@ class ClusterGrader:
     def assignment(self):
         return self.engine.assignment
 
-    def source_digest(self, source: str) -> str | None:
-        """The bucket fingerprint of ``source``, if it has one.
-
-        ``None`` for unsafe knowledge bases and sources that do not lex.
-        Used by the batch pipeline to link store entries to buckets.
-        """
-        if not self.audit.safe:
-            return None
-        sprint = fingerprint_source(source, self.audit)
-        if sprint is None or not sprint.replay_safe:
-            return None
-        return sprint.digest
-
     def grade(self, source: str) -> GradingReport:
         """Grade one submission, bucket-wise when provably safe."""
         count("cluster.submissions")
@@ -102,9 +97,6 @@ class ClusterGrader:
             sprint = fingerprint_source(source, self.audit)
         if sprint is None:
             # does not lex; the full path produces the syntax-error report
-            return self.engine.grade(source)
-        if not sprint.replay_safe:
-            count("cluster.fallbacks")
             return self.engine.grade(source)
         record = self._lookup(sprint.digest)
         if record is not None:
@@ -128,9 +120,19 @@ class ClusterGrader:
         record = self.store.get_cluster(digest)
         if record is not None:
             count("cluster.store_hits")
-            with self._lock:
-                self._buckets.setdefault(digest, record)
+            self._register(digest, record)
         return record
+
+    def _register(self, digest: str, record: dict) -> bool:
+        """Remember a bucket record; ``False`` if the bucket was known."""
+        with self._lock:
+            buckets = self._buckets
+            if digest in buckets:
+                return False
+            if len(buckets) >= MAX_BUCKETS:
+                buckets.pop(next(iter(buckets)))
+            buckets[digest] = record
+            return True
 
     def _grade_representative(self, source: str, sprint) -> GradingReport:
         """Full-path grade that tries to become the bucket representative."""
@@ -143,11 +145,8 @@ class ClusterGrader:
         if record is None:
             count("cluster.fallbacks")
             return report
-        with self._lock:
-            known = sprint.digest in self._buckets
-            if not known:
-                self._buckets[sprint.digest] = record
+        added = self._register(sprint.digest, record)
         count("cluster.representatives")
-        if self.store is not None and not known:
+        if self.store is not None and added:
             self.store.put_cluster(sprint.digest, record)
         return report

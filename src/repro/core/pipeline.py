@@ -175,17 +175,12 @@ class TieredCache:
         return report
 
     def put(
-        self,
-        key: str,
-        report: GradingReport,
-        stats: PipelineStats,
-        cluster: str | None = None,
+        self, key: str, report: GradingReport, stats: PipelineStats
     ) -> None:
-        """Remember ``report``; ``cluster`` links its store entry to a bucket."""
         self.memory.put(key, report)
         if self.store is None or report.status not in CACHEABLE_STATUSES:
             return
-        if self.store.put(key, report, cluster=cluster):
+        if self.store.put(key, report):
             stats.record_counter("cache.store_writes")
         else:
             stats.record_counter("cache.store_errors")
@@ -462,24 +457,14 @@ class BatchGrader:
 
         fresh = self._run_jobs(jobs, stats)
         if tiers is not None and fresh:
-            # in cluster mode, link each store entry to its bucket so
-            # tooling can group stored reports by fingerprint (readers
-            # default the key away — see ResultStore.cluster_key)
             store = tiers.store
-            link = self.profile.cluster and store is not None
-            sources = dict(jobs)
             # One store transaction for the batch's reports, opened only
             # after grading: process workers write bucket and corpus
             # records while they grade, and a write lock held across
             # that would stall each of them for the busy timeout.
             with store.batch() if store is not None else nullcontext():
                 for job_key, report in fresh.items():
-                    bucket = (
-                        self.engine.source_digest(sources[job_key])
-                        if link
-                        else None
-                    )
-                    tiers.put(job_key, report, stats, cluster=bucket)
+                    tiers.put(job_key, report, stats)
 
         # Reassemble in input order; only the first occurrence of a
         # freshly graded key counts as "graded", the rest are hits.

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cluster import ClusterGrader
 from repro.cluster.fingerprint import fingerprint_source
 from repro.core.engine import FeedbackEngine
 from repro.core.pipeline import BatchGrader
-from repro.core.storage import ResultStore
+from repro.core.storage import SCHEMA_VERSION, ResultStore
 from repro.instrumentation import collecting
 
 from tests.cluster.conftest import make_variant
@@ -73,29 +75,89 @@ class TestStoreRoundTrip:
 
 class TestClusterKeyForwardCompat:
     def test_entry_without_cluster_key_reads_as_unclustered(
-        self, tmp_path, assignment1
+        self, tmp_path, assignment1, audit1
     ):
         store = ResultStore(tmp_path, assignment1)
         report = FeedbackEngine(assignment1).grade(SOURCE)
-        assert store.put("pre-cluster", report)
+        envelope = {
+            "schema": SCHEMA_VERSION,
+            "kb": store.fingerprint,
+            "report": report.to_dict(),
+        }
+        # an entry as older clustered runs wrote it, linked to its
+        # bucket by a ``cluster`` key, and one without the key
+        legacy = {"cluster": fingerprint_source(SOURCE, audit1).digest}
+        conn = store._connection()
+        for key, extra in (("linked", legacy), ("pre-cluster", {})):
+            conn.execute(
+                "INSERT INTO records (assignment, kb, kind, key, entry)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (*store._scope, "entry", key, json.dumps(
+                    {**envelope, "key": key, **extra},
+                    separators=(",", ":"),
+                )),
+            )
+        conn.commit()
 
-        # simulate an entry written before clustering existed: strip the
-        # cluster key from the payload entirely
-        entry = store.backend.read("entry", "pre-cluster")
-        entry.pop("cluster", None)
-        assert store.backend.write("entry", "pre-cluster", entry)
+        for key in ("linked", "pre-cluster"):
+            restored = store.get(key)
+            assert restored is not None
+            assert restored.render() == report.render()
+            assert restored.to_dict() == report.to_dict()
 
-        assert store.cluster_key("pre-cluster") is None
-        restored = store.get("pre-cluster")
-        assert restored is not None
-        assert restored.render() == report.render()
 
-    def test_cluster_link_round_trips(self, tmp_path, assignment1):
-        store = ResultStore(tmp_path, assignment1)
-        report = FeedbackEngine(assignment1).grade(SOURCE)
-        assert store.put("linked", report, cluster="ab" * 32)
-        assert store.cluster_key("linked") == "ab" * 32
-        assert store.cluster_key("no-such-entry") is None
+class TestFingerprintOnce:
+    def test_store_batch_fingerprints_each_fresh_job_once(
+        self, tmp_path, monkeypatch, assignment1, audit1
+    ):
+        calls: list[str] = []
+
+        def counting(source, audit):
+            calls.append(source)
+            return fingerprint_source(source, audit)
+
+        monkeypatch.setattr(
+            "repro.cluster.grader.fingerprint_source", counting
+        )
+        cohort = [make_variant(SOURCE, audit1, r) for r in range(3)]
+        cohort.append(assignment1.reference_solutions[0])
+        result = BatchGrader(
+            assignment1, store=tmp_path, cluster=True
+        ).grade_batch(cohort)
+        assert result.stats.graded == len(cohort)
+        assert result.stats.counters.get("cache.store_writes") == len(cohort)
+        assert sorted(calls) == sorted(cohort)
+
+
+class TestBucketRegistryBound:
+    def test_oldest_bucket_is_dropped_and_regrades_identically(
+        self, monkeypatch, assignment1, audit1
+    ):
+        monkeypatch.setattr("repro.cluster.grader.MAX_BUCKETS", 2)
+        sources = [
+            SOURCE,
+            SOURCE.replace("accum += kk;", "accum -= kk;"),
+            assignment1.reference_solutions[0],
+        ]
+        digests = [fingerprint_source(s, audit1).digest for s in sources]
+        assert len(set(digests)) == 3
+
+        grader = ClusterGrader(FeedbackEngine(assignment1))
+        with collecting() as stats:
+            for source in sources:
+                grader.grade(source)
+        assert stats.counters.get("cluster.representatives") == 3
+        assert list(grader._buckets) == digests[1:]
+
+        # the first bucket was dropped: its next member grades in full
+        member = make_variant(SOURCE, audit1, 1)
+        with collecting() as stats:
+            report = grader.grade(member)
+        assert stats.counters.get("cluster.representatives") == 1
+        assert len(grader._buckets) == 2
+        expected = FeedbackEngine(assignment1).grade(member)
+        assert report.render() == expected.render()
+        assert report.to_dict() == expected.to_dict()
 
 
 class TestBatchModes:

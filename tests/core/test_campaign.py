@@ -25,7 +25,7 @@ from repro.core.campaign import (
 from repro.core.metrics import PipelineStats
 from repro.core.pipeline import BatchGrader
 from repro.core.storage import ResultStore
-from repro.core.storage.sqlite_backend import BUSY_TIMEOUT_MS
+from repro.core.storage import BUSY_TIMEOUT_MS
 
 
 @pytest.fixture
@@ -264,7 +264,7 @@ class TestProcessModeStoreWrites:
         corpus = ResultStore(root, assignment1, repair=True)
         counts = (
             plain.entry_count() + corpus.entry_count(),
-            plain.backend.count("cluster"),
+            plain._count("cluster"),
             corpus.repair_count(),
         )
         return counts, elapsed

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.pipeline import BatchGrader
 from repro.core.storage import ResultStore
-from repro.core.storage.sqlite_backend import database_path
+from repro.core.storage import database_path
 from repro.kb import get_assignment
 
 
@@ -68,13 +68,6 @@ class TestSqliteRoundTrip:
         assert store.put_campaign("c1/shard-00000000", record) is True
         assert store.get_campaign("c1/shard-00000000") == record
         assert store.get_campaign("c1/shard-00000001") is None
-
-    def test_cluster_link_round_trips(self, store, assignment1, engine1):
-        report = _report(assignment1, engine1)
-        store.put("d" * 64, report, cluster="f" * 64)
-        assert store.cluster_key("d" * 64) == "f" * 64
-        store.put("e" * 64, report)
-        assert store.cluster_key("e" * 64) is None
 
     def test_kb_change_invalidates_entries(
         self, tmp_path, assignment1, engine1
@@ -231,7 +224,7 @@ class TestCrashSafety:
     ):
         store = ResultStore(tmp_path, assignment1)
         store.put("a" * 64, _report(assignment1, engine1))
-        store.backend._discard_connection()  # checkpoint WAL into the db
+        store._discard_connection()  # checkpoint WAL into the db
         db = database_path(tmp_path)
         db.write_bytes(b"this is not a sqlite database " * 64)
         for sidecar in ("-wal", "-shm"):
@@ -248,7 +241,7 @@ class TestCrashSafety:
         store = ResultStore(tmp_path, assignment1)
         report = _report(assignment1, engine1)
         store.put("a" * 64, report)
-        store.backend._discard_connection()  # checkpoint + close
+        store._discard_connection()  # checkpoint + close
         db = database_path(tmp_path)
         (db.parent / (db.name + "-wal")).write_bytes(os.urandom(4096))
         fresh = ResultStore(tmp_path, assignment1)
@@ -258,12 +251,11 @@ class TestCrashSafety:
     def test_truncated_entry_payload_is_a_miss(self, tmp_path, assignment1):
         """A torn row (truncated JSON in the entry column) is a miss."""
         store = ResultStore(tmp_path, assignment1)
-        backend = store.backend
-        conn = backend._connection()
+        conn = store._connection()
         conn.execute(
             "INSERT INTO records (assignment, kb, kind, key, entry)"
             " VALUES (?, ?, ?, ?, ?)",
-            (backend._assignment, backend._kb, "entry", "t" * 64,
+            (*store._scope, "entry", "t" * 64,
              '{"schema": 1, "kb": "tr'),
         )
         conn.commit()

@@ -109,18 +109,18 @@ class _StoredRow:
     """The database row holding one stored entry, read and overwritten raw."""
 
     def __init__(self, store, key):
-        self.backend = store.backend
-        self.where = (self.backend._assignment, self.backend._kb, "entry", key)
+        self.store = store
+        self.where = (*store._scope, "entry", key)
 
     def read(self) -> str:
-        return self.backend._connection().execute(
+        return self.store._connection().execute(
             "SELECT entry FROM records"
             " WHERE assignment = ? AND kb = ? AND kind = ? AND key = ?",
             self.where,
         ).fetchone()[0]
 
     def write(self, value) -> None:
-        conn = self.backend._connection()
+        conn = self.store._connection()
         conn.execute(
             "UPDATE records SET entry = ?"
             " WHERE assignment = ? AND kb = ? AND kind = ? AND key = ?",

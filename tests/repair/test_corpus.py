@@ -142,20 +142,18 @@ class TestJsonDurability:
 
     def _rows(self, store):
         """``{key: raw envelope}`` for every repair record in scope."""
-        backend = store.backend
-        return dict(backend._connection().execute(
+        return dict(store._connection().execute(
             "SELECT key, entry FROM records"
             " WHERE assignment = ? AND kb = ? AND kind = 'repair'",
-            (backend._assignment, backend._kb),
+            store._scope,
         ).fetchall())
 
     def _overwrite(self, store, key, raw):
-        backend = store.backend
-        conn = backend._connection()
+        conn = store._connection()
         conn.execute(
             "UPDATE records SET entry = ? WHERE assignment = ? AND kb = ?"
             " AND kind = 'repair' AND key = ?",
-            (raw, backend._assignment, backend._kb, key),
+            (raw, *store._scope, key),
         )
         conn.commit()
 
