@@ -8,6 +8,9 @@ EXPERIMENTS.md records the paper-vs-measured numbers.
 
 from __future__ import annotations
 
+import time
+from typing import Any, Callable
+
 import pytest
 
 from repro.core import FeedbackEngine
@@ -39,3 +42,36 @@ def engines():
         name: FeedbackEngine(get_assignment(name))
         for name in all_assignment_names()
     }
+
+
+
+@pytest.fixture
+def mean_seconds(benchmark: Any) -> Callable[..., tuple[Any, float]]:
+    """Run a body under ``benchmark``; its result and mean seconds per call.
+
+    With benchmarking on, the mean is pytest-benchmark's own.  Under
+    ``--benchmark-disable`` the fixture runs the body once and keeps no
+    stats (``benchmark.stats`` is ``None``), so the mean is that call's
+    wall time, taken here.  Keywords go to ``benchmark.pedantic``;
+    without them ``benchmark(body)`` calibrates its own rounds.
+    """
+
+    def run(body: Callable[[], Any], **pedantic: Any) -> tuple[Any, float]:
+        elapsed: list[float] = []
+
+        def timed() -> Any:
+            started = time.perf_counter()
+            try:
+                return body()
+            finally:
+                elapsed.append(time.perf_counter() - started)
+
+        if pedantic:
+            result = benchmark.pedantic(timed, **pedantic)
+        else:
+            result = benchmark(timed)
+        if benchmark.stats is not None:
+            return result, benchmark.stats["mean"]
+        return result, sum(elapsed) / len(elapsed)
+
+    return run

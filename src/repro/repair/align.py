@@ -14,18 +14,25 @@ are disallowed; nodes left unmatched on the submission side become
 and matched pairs with differing content become *rewrites*
 (:mod:`repro.repair.edits`).
 
-Small buckets are solved exactly with the same subset-memo dynamic
-program the matcher uses for its method-assignment sweep (smallest-id
-tie-break, so results are deterministic); buckets past
-:data:`EXACT_LIMIT` fall back to a deterministic greedy matching.
+Shapes are computed once per node (:func:`graph_shapes`), not once per
+pair: the engine keeps each corpus candidate's table for the engine's
+lifetime and computes the submission's once per request.
+
+Small buckets are solved exactly with the subset dynamic program of
+the matcher's method-assignment sweep, run as a loop over the reachable
+``(node, used-set)`` states (smallest-id tie-break, so results are
+deterministic); buckets past :data:`EXACT_LIMIT` fall back to a
+deterministic greedy matching.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import sub
+from typing import Mapping, Sequence
 
+from repro.patterns.template import ANY_IDENTIFIER, BOUNDARY_BEFORE
 from repro.pdg.graph import Epdg, GraphNode, NodeType
 
 #: Minimum pairing weight: below this, leaving both nodes unmatched is
@@ -42,6 +49,15 @@ _W_SHAPE = 2.0
 _W_ARITY = 0.5
 
 
+#: One identifier-character run, as the lexer reads identifiers (``$``
+#: and non-ASCII letters included).  The boundary keeps runs maximal, so
+#: a literal such as ``1e5`` or ``0x1F`` is one run, never ``e5``/``x1F``.
+IDENTIFIER = re.compile(BOUNDARY_BEFORE + ANY_IDENTIFIER)
+
+#: Per method name, the shape of every node, indexed by node id.
+Shapes = Mapping[str, Sequence[str]]
+
+
 def node_shape(node: GraphNode) -> str:
     """Node content with its own variables wildcarded to ``_``.
 
@@ -49,10 +65,21 @@ def node_shape(node: GraphNode) -> str:
     node are replaced, so keywords, called method names, and literals
     keep contributing to the shape.
     """
-    text = node.content
-    for variable in sorted(node.variables, key=len, reverse=True):
-        text = re.sub(rf"\b{re.escape(variable)}\b", "_", text)
-    return text
+    variables = node.variables
+    if not variables:
+        return node.content
+    return IDENTIFIER.sub(
+        lambda match: "_" if match[0] in variables else match[0],
+        node.content,
+    )
+
+
+def graph_shapes(graphs: Mapping[str, Epdg]) -> dict[str, tuple[str, ...]]:
+    """:func:`node_shape` of every node of every method, computed once."""
+    return {
+        method: tuple(node_shape(node) for node in graph.nodes)
+        for method, graph in graphs.items()
+    }
 
 
 def pair_weight(
@@ -60,20 +87,21 @@ def pair_weight(
     right: GraphNode,
     left_profile: tuple[int, int, int, int],
     right_profile: tuple[int, int, int, int],
+    same_shape: bool,
 ) -> float:
-    """Affinity of pairing submission node ``left`` with candidate ``right``."""
+    """Affinity of pairing submission node ``left`` with candidate ``right``.
+
+    ``same_shape`` says whether the two nodes' shapes are equal.
+    """
     weight = 0.0
     if left.content == right.content:
         weight += _W_CONTENT
-    elif node_shape(left) == node_shape(right):
+    elif same_shape:
         weight += _W_SHAPE
-    degree_gap = sum(
-        abs(a - b) for a, b in zip(left_profile, right_profile)
-    )
+    degree_gap = sum(map(abs, map(sub, left_profile, right_profile)))
     weight += 1.0 / (1.0 + degree_gap)
-    if (len(left.defines), len(left.uses)) == (
-        len(right.defines),
-        len(right.uses),
+    if len(left.defines) == len(right.defines) and (
+        len(left.uses) == len(right.uses)
     ):
         weight += _W_ARITY
     return weight
@@ -90,17 +118,31 @@ class MethodAlignment:
     unmatched_left: list[GraphNode] = field(default_factory=list)
     #: Candidate-only nodes (downstream: insert edits).
     unmatched_right: list[GraphNode] = field(default_factory=list)
+    #: Node shapes of each side's method graph, indexed by node id.
+    left_shapes: Sequence[str] = ()
+    right_shapes: Sequence[str] = ()
+
+    def same_shape(self, left: GraphNode, right: GraphNode) -> bool:
+        """Whether an aligned pair's shapes are equal."""
+        return (
+            self.left_shapes[left.node_id]
+            == self.right_shapes[right.node_id]
+        )
 
 
 def align_graphs(
-    submission: Mapping[str, Epdg], candidate: Mapping[str, Epdg]
+    submission: Mapping[str, Epdg],
+    candidate: Mapping[str, Epdg],
+    submission_shapes: Shapes,
+    candidate_shapes: Shapes,
 ) -> list[MethodAlignment]:
     """Align every method of the submission against the candidate.
 
     Methods are matched by name (the corpus and the submission grade
     against the same published headers); a method present on only one
     side contributes all its nodes as unmatched.  Results are ordered
-    by method name for determinism.
+    by method name for determinism.  The shape tables are each side's
+    :func:`graph_shapes`.
     """
     alignments: list[MethodAlignment] = []
     for method in sorted(submission.keys() | candidate.keys()):
@@ -113,6 +155,8 @@ def align_graphs(
         elif right_graph is None:
             alignment.unmatched_left.extend(left_graph.nodes)
         else:
+            alignment.left_shapes = submission_shapes[method]
+            alignment.right_shapes = candidate_shapes[method]
             _align_method(left_graph, right_graph, alignment)
         alignments.append(alignment)
     return alignments
@@ -142,18 +186,16 @@ def _align_bucket(
         alignment.unmatched_left.extend(lefts)
         alignment.unmatched_right.extend(rights)
         return
-    weights = [
-        [
+    right_profiles = [right_graph.degree_profile(v.node_id) for v in rights]
+    weights: list[list[float]] = []
+    for u in lefts:
+        left_profile = left_graph.degree_profile(u.node_id)
+        weights.append([
             pair_weight(
-                u,
-                v,
-                left_graph.degree_profile(u.node_id),
-                right_graph.degree_profile(v.node_id),
+                u, v, left_profile, right_profile, alignment.same_shape(u, v)
             )
-            for v in rights
-        ]
-        for u in lefts
-    ]
+            for v, right_profile in zip(rights, right_profiles)
+        ])
     if max(len(lefts), len(rights)) <= EXACT_LIMIT:
         matching = _solve_exact(weights)
     else:
@@ -174,46 +216,55 @@ def _align_bucket(
 def _solve_exact(weights: list[list[float]]) -> list[int | None]:
     """Maximum-weight injective matching allowing unmatched nodes.
 
-    Subset-memo DP in the style of the matcher's assignment solver
+    The subset DP of the matcher's assignment solver
     (:func:`repro.matching.submission._solve_assignment`), extended with
     a *skip* option per left node and a weight floor
-    (:data:`MIN_PAIR_WEIGHT`).  Reconstruction prefers the
+    (:data:`MIN_PAIR_WEIGHT`): ``best[i][used]`` is the largest total
+    weight left nodes ``i..`` can add when the right nodes in bit set
+    ``used`` are taken.  It is filled backwards over the sets reachable
+    from the empty one, then read forwards; reconstruction prefers the
     smallest-index pairing, then skipping, so ties resolve the same way
     on every run.
     """
     n_left = len(weights)
-    n_right = len(weights[0])
-    memo: dict[tuple[int, int], float] = {}
-
-    def best(index: int, used: int) -> float:
-        if index == n_left:
-            return 0.0
-        key = (index, used)
-        found = memo.get(key)
-        if found is None:
-            row = weights[index]
-            found = best(index + 1, used)  # leave this node unmatched
-            for j in range(n_right):
-                if used & (1 << j) or row[j] < MIN_PAIR_WEIGHT:
-                    continue
-                value = row[j] + best(index + 1, used | (1 << j))
-                if value > found:
-                    found = value
-            memo[key] = found
-        return found
+    # admissible (bit, weight) options per left node, in right-id order
+    options = [
+        [(1 << j, w) for j, w in enumerate(row) if w >= MIN_PAIR_WEIGHT]
+        for row in weights
+    ]
+    # reachable[i]: the used-sets that can be current at left node i
+    reachable: list[set[int]] = [{0}]
+    for row_options in options:
+        before = reachable[-1]
+        after = set(before)
+        for bit, _ in row_options:
+            after.update([used | bit for used in before if not used & bit])
+        reachable.append(after)
+    best: list[dict[int, float]] = [{} for _ in range(n_left)]
+    best.append(dict.fromkeys(reachable[n_left], 0.0))
+    for index in range(n_left - 1, -1, -1):
+        below = best[index + 1]
+        table = best[index]
+        row_options = options[index]
+        for used in reachable[index]:
+            found = below[used]  # leave this node unmatched
+            for bit, w in row_options:
+                if not used & bit:
+                    value = w + below[used | bit]
+                    if value > found:
+                        found = value
+            table[used] = found
 
     matching: list[int | None] = []
     used = 0
     for index in range(n_left):
-        target = best(index, used)
-        row = weights[index]
+        target = best[index][used]
+        below = best[index + 1]
         chosen: int | None = None
-        for j in range(n_right):
-            if used & (1 << j) or row[j] < MIN_PAIR_WEIGHT:
-                continue
-            if row[j] + best(index + 1, used | (1 << j)) == target:
-                chosen = j
-                used |= 1 << j
+        for bit, w in options[index]:
+            if not used & bit and w + below[used | bit] == target:
+                chosen = bit.bit_length() - 1
+                used |= bit
                 break
         matching.append(chosen)
     return matching

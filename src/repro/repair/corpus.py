@@ -82,11 +82,22 @@ class CorpusEntry:
 
 
 class RepairCorpus:
-    """The verified solutions of one assignment, in admission order."""
+    """The verified solutions of one assignment, in admission order.
 
-    def __init__(self, assignment: Assignment, entries: list[CorpusEntry]):
+    ``verdicts`` maps each source text :meth:`build` ran the test suite
+    on to whether it passed; a corpus read back by :meth:`load` ran
+    nothing and has none.
+    """
+
+    def __init__(
+        self,
+        assignment: Assignment,
+        entries: list[CorpusEntry],
+        verdicts: Mapping[str, bool] | None = None,
+    ):
         self.assignment = assignment
         self.entries = entries
+        self.verdicts: Mapping[str, bool] = verdicts or {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -123,6 +134,7 @@ class RepairCorpus:
             for index in space.correct_indices(limit=synth_samples):
                 candidates.append((space.submission(index).source, "synth"))
         entries: list[CorpusEntry] = []
+        verdicts: dict[str, bool] = {}
         seen: set[str] = set()
         for source, origin in candidates:
             count("repair.corpus_candidates")
@@ -130,14 +142,16 @@ class RepairCorpus:
             if key in seen:
                 continue
             seen.add(key)
-            if not run_tests_on_source(
+            passed = run_tests_on_source(
                 source, assignment.tests, step_budget=step_budget
-            ).passed:
+            ).passed
+            verdicts[source] = passed
+            if not passed:
                 count("repair.corpus_rejected")
                 continue
             count("repair.corpus_admitted")
             entries.append(CorpusEntry(key=key, source=source, origin=origin))
-        return cls(assignment, entries)
+        return cls(assignment, entries, verdicts)
 
     # ------------------------------------------------------------------
     # persistence

@@ -11,9 +11,12 @@ Two responsibilities:
    candidate's *defined* variables, and every candidate-side text —
    edit ``after`` strings and the full repaired source — is rewritten
    through :func:`repro.cluster.specialize.rename_submission` (token
-   splicing: simultaneous, never touches string literals).  A mapping
-   target that would capture an existing candidate identifier which is
-   not itself being renamed away is dropped rather than risked.
+   splicing: simultaneous, never touches string literals); an empty
+   mapping leaves every text as it is, unlexed.  A mapping target that
+   would capture an existing candidate identifier which is not itself
+   being renamed away is dropped rather than risked.  Identifiers are
+   read with the lexer's identifier class, so ``$`` and non-ASCII
+   names vote and are capture-checked like any other.
 
 2. **Edit-script assembly.**  Matched pairs with differing content
    become ``rewrite`` edits, unmatched candidate nodes ``insert``,
@@ -26,24 +29,26 @@ Two responsibilities:
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Mapping
 
 from repro.cluster.specialize import rename_submission
 from repro.pdg.graph import Epdg
-from repro.repair.align import MethodAlignment, node_shape
+from repro.repair.align import IDENTIFIER, MethodAlignment
 from repro.repair.model import EDIT_OPS, RepairEdit
-
-_IDENTIFIER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
 def _occurrences(content: str, variables: frozenset[str]) -> list[str]:
     """The node's variable occurrences, in textual order."""
     return [
         token
-        for token in _IDENTIFIER.findall(content)
+        for token in IDENTIFIER.findall(content)
         if token in variables
     ]
+
+
+def _rename(text: str, mapping: dict[str, str]) -> str:
+    """``text`` through the mapping; an empty mapping changes nothing."""
+    return rename_submission(text, mapping) if mapping else text
 
 
 def variable_mapping(
@@ -68,7 +73,7 @@ def variable_mapping(
     votes: dict[tuple[str, str], int] = {}
     for alignment in alignments:
         for left, right in alignment.pairs:
-            if node_shape(left) != node_shape(right):
+            if not alignment.same_shape(left, right):
                 continue
             left_seq = _occurrences(left.content, left.variables)
             right_seq = _occurrences(right.content, right.variables)
@@ -92,7 +97,7 @@ def variable_mapping(
     # splice is simultaneous, so swaps are fine).  Drop offenders in
     # deterministic order; dropping shrinks the key set, so re-check
     # until stable.
-    candidate_identifiers = set(_IDENTIFIER.findall(candidate_source))
+    candidate_identifiers = set(IDENTIFIER.findall(candidate_source))
     while True:
         offenders = sorted(
             source
@@ -121,7 +126,7 @@ def edit_script(
     rank = {op: i for i, op in enumerate(EDIT_OPS)}
     for alignment in alignments:
         for left, right in alignment.pairs:
-            after = rename_submission(right.content, rename)
+            after = _rename(right.content, rename)
             if left.content == after:
                 continue
             edits.append(
@@ -148,7 +153,7 @@ def edit_script(
                         op="insert",
                         method=alignment.method,
                         node_type=right.type.value,
-                        after=rename_submission(right.content, rename),
+                        after=_rename(right.content, rename),
                     ),
                 )
             )
@@ -174,4 +179,4 @@ def repaired_source(
     candidate_source: str, mapping: Mapping[str, str]
 ) -> str:
     """The edit script fully applied: the candidate in the student's names."""
-    return rename_submission(candidate_source, dict(mapping))
+    return _rename(candidate_source, dict(mapping))

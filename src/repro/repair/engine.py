@@ -9,12 +9,20 @@
    saved corpus exists, built (and saved back) otherwise;
 2. ranks corpus candidates by signature distance
    (:mod:`repro.repair.search`) and exactly aligns only the closest
-   :attr:`RepairConfig.prefilter_top`;
+   :attr:`RepairConfig.prefilter_top` — node shapes are computed once
+   per corpus entry (kept for the engine's lifetime) and once per
+   submission, not once per aligned pair;
 3. keeps the candidate with the fewest edits, substitutes the student's
-   identifiers back (:mod:`repro.repair.edits`);
+   identifiers back (:mod:`repro.repair.edits`), and builds the repaired
+   source only for the candidates it goes on to verify;
 4. **machine-verifies** the repaired source against the assignment's
    functional tests and emits the suggestion only on a full pass — a
-   wrong suggestion is structurally unable to reach a report.
+   wrong suggestion is structurally unable to reach a report.  Verdicts
+   are remembered per exact source text (at most :data:`MAX_VERDICTS`,
+   oldest dropped first), seeded with the verdicts of a corpus build
+   run by this engine: the same text under the same tests and step
+   budget always gets the same verdict, so a remembered one is a
+   verification this process already ran.
 
 The whole of steps 2-4 runs under its own
 :func:`repro.instrumentation.deadline` budget
@@ -27,6 +35,7 @@ timeout report.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
@@ -42,10 +51,10 @@ from repro.instrumentation import (
 from repro.java import parse_submission
 from repro.pdg.builder import extract_all_epdgs
 from repro.pdg.graph import Epdg
-from repro.repair.align import align_graphs
+from repro.repair.align import align_graphs, graph_shapes
 from repro.repair.corpus import DEFAULT_SYNTH_SAMPLES, RepairCorpus
 from repro.repair.edits import edit_script, repaired_source, variable_mapping
-from repro.repair.model import RepairSuggestion
+from repro.repair.model import RepairEdit, RepairSuggestion
 from repro.repair.search import (
     rank_candidates,
     submission_signature,
@@ -57,6 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.storage import ResultStore
     from repro.java import ast
     from repro.matching.submission import MatchOutcome
+
+#: Verification verdicts one engine remembers, oldest dropped first — the
+#: bucket bound of :data:`repro.cluster.grader.MAX_BUCKETS`.
+MAX_VERDICTS = 8192
 
 
 @dataclass(frozen=True)
@@ -81,11 +94,11 @@ class RepairEngine:
     A :class:`~repro.core.profile.Channel`: suggestions go to the
     report's ``repair`` field, and only rejected submissions get any.
 
-    Thread-compatible the same way :class:`FeedbackEngine` is: the only
-    mutable state is the lazily-initialized corpus and a per-entry
-    candidate-EPDG cache, both written idempotently (rebuilding or
-    re-parsing yields identical values), so sharing an instance across
-    threads is safe.
+    Thread-compatible the same way :class:`FeedbackEngine` is: the
+    lazily-initialized corpus and the per-entry candidate caches (EPDGs,
+    signatures, shapes) are written idempotently (rebuilding or
+    re-parsing yields identical values), and the verdict memo is guarded
+    by a lock, so sharing an instance across threads is safe.
     """
 
     name = "repair"
@@ -105,6 +118,9 @@ class RepairEngine:
         self._candidate_signatures: dict[
             str, dict[str, tuple[int, ...]]
         ] = {}
+        self._candidate_shapes: dict[str, dict[str, tuple[str, ...]]] = {}
+        self._verdicts: dict[str, bool] = {}
+        self._verdicts_lock = threading.Lock()
 
     @classmethod
     def fingerprint(cls, assignment: Assignment) -> str:
@@ -130,7 +146,9 @@ class RepairEngine:
         Lazy so that pipeline parents which only fork workers (process
         mode) never pay for a build; built corpora are saved back to the
         attached store so the next engine over the same cache directory
-        loads instead of rebuilding.
+        loads instead of rebuilding.  A build seeds the verdict memo with
+        the test verdicts it just computed; a load ran no tests and seeds
+        nothing.
         """
         if self._corpus is None:
             loaded = (
@@ -148,6 +166,8 @@ class RepairEngine:
                     synth_samples=self.config.synth_samples,
                     step_budget=self.config.step_budget,
                 )
+                for source, passed in self._corpus.verdicts.items():
+                    self._remember(source, passed)
                 if self.store is not None:
                     self._corpus.save(self.store)
         return self._corpus
@@ -165,7 +185,38 @@ class RepairEngine:
             self._candidate_graphs[key] = graphs
             if graphs is not None:
                 self._candidate_signatures[key] = submission_signature(graphs)
+                self._candidate_shapes[key] = graph_shapes(graphs)
         return self._candidate_graphs[key]
+
+    # ------------------------------------------------------------------
+    # verification
+
+    def _remember(self, source: str, passed: bool) -> None:
+        with self._verdicts_lock:
+            verdicts = self._verdicts
+            if source not in verdicts and len(verdicts) >= MAX_VERDICTS:
+                verdicts.pop(next(iter(verdicts)))
+            verdicts[source] = passed
+
+    def _verify(self, source: str) -> bool:
+        """Whether ``source`` passes the assignment's functional tests.
+
+        A remembered verdict counts ``repair.verify_memo_hits``; a fresh
+        one is remembered only once the suite has run to the end, so a
+        deadline raised mid-run records nothing.
+        """
+        with self._verdicts_lock:
+            passed = self._verdicts.get(source)
+        if passed is not None:
+            count("repair.verify_memo_hits")
+            return passed
+        passed = run_tests_on_source(
+            source,
+            self.assignment.tests,
+            step_budget=self.config.step_budget,
+        ).passed
+        self._remember(source, passed)
+        return passed
 
     # ------------------------------------------------------------------
     # the channel
@@ -215,6 +266,7 @@ class RepairEngine:
         if not entries:
             return []
         submission = submission_signature(graphs)
+        submission_shapes = graph_shapes(graphs)
         signatures: dict[str, dict[str, tuple[int, ...]]] = {}
         for key, entry in entries.items():
             check_deadline(self.config.budget_seconds)
@@ -223,13 +275,20 @@ class RepairEngine:
         ranked = rank_candidates(
             submission, signatures, self.config.prefilter_top
         )
-        scored: list[tuple[int, int, str, RepairSuggestion]] = []
+        scored: list[
+            tuple[int, int, str, tuple[RepairEdit, ...], dict[str, str]]
+        ] = []
         for distance, key in ranked:
             check_deadline(self.config.budget_seconds)
             entry = entries[key]
             candidate_graphs = self._candidate_graphs[key]
             assert candidate_graphs is not None  # filtered above
-            alignments = align_graphs(graphs, candidate_graphs)
+            alignments = align_graphs(
+                graphs,
+                candidate_graphs,
+                submission_shapes,
+                self._candidate_shapes[key],
+            )
             mapping = variable_mapping(
                 alignments, candidate_graphs, entry.source
             )
@@ -239,28 +298,27 @@ class RepairEngine:
                 # is nothing to fix, and suggesting edits toward some
                 # *other* candidate would be pure noise.
                 return []
-            suggestion = RepairSuggestion(
-                candidate_key=key,
-                origin=entry.origin,
-                distance=float(distance),
-                edits=edits,
-                repaired_source=repaired_source(entry.source, mapping),
-                verified=True,
-            )
-            scored.append((len(edits), distance, key, suggestion))
+            scored.append((len(edits), distance, key, edits, mapping))
         scored.sort(key=lambda item: item[:3])
         emitted: list[RepairSuggestion] = []
-        for *_, suggestion in scored:
+        for _, distance, key, edits, mapping in scored:
             if len(emitted) >= self.config.max_suggestions:
                 break
             check_deadline(self.config.budget_seconds)
-            if run_tests_on_source(
-                suggestion.repaired_source,
-                self.assignment.tests,
-                step_budget=self.config.step_budget,
-            ).passed:
+            entry = entries[key]
+            repaired = repaired_source(entry.source, mapping)
+            if self._verify(repaired):
                 count("repair.verified")
-                emitted.append(suggestion)
+                emitted.append(
+                    RepairSuggestion(
+                        candidate_key=key,
+                        origin=entry.origin,
+                        distance=float(distance),
+                        edits=edits,
+                        repaired_source=repaired,
+                        verified=True,
+                    )
+                )
             else:
                 count("repair.verify_failed")
         return emitted

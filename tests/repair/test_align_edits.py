@@ -10,6 +10,7 @@ from repro.repair.align import (
     EXACT_LIMIT,
     MIN_PAIR_WEIGHT,
     align_graphs,
+    graph_shapes,
     node_shape,
     _solve_exact,
     _solve_greedy,
@@ -61,6 +62,12 @@ def graphs_of(source):
     return extract_all_epdgs(parse_submission(source), False)
 
 
+def align(student, candidate):
+    return align_graphs(
+        student, candidate, graph_shapes(student), graph_shapes(candidate)
+    )
+
+
 class TestNodeShape:
     def test_wildcards_own_variables_only(self):
         (graph,) = graphs_of(CANDIDATE).values()
@@ -82,21 +89,21 @@ class TestNodeShape:
 class TestAlignGraphs:
     def test_self_alignment_is_total(self):
         graphs = graphs_of(CANDIDATE)
-        (alignment,) = align_graphs(graphs, graphs)
+        (alignment,) = align(graphs, graphs)
         assert not alignment.unmatched_left
         assert not alignment.unmatched_right
         for left, right in alignment.pairs:
             assert left.content == right.content
 
     def test_renamed_buggy_student_aligns_fully(self):
-        (alignment,) = align_graphs(
+        (alignment,) = align(
             graphs_of(STUDENT_BUGGY), graphs_of(CANDIDATE)
         )
         assert not alignment.unmatched_left
         assert not alignment.unmatched_right
 
     def test_missing_statement_surfaces_as_unmatched_right(self):
-        (alignment,) = align_graphs(
+        (alignment,) = align(
             graphs_of(STUDENT_MISSING_PRINT), graphs_of(CANDIDATE)
         )
         assert [n.content for n in alignment.unmatched_right] == [
@@ -104,7 +111,7 @@ class TestAlignGraphs:
         ]
 
     def test_method_present_on_one_side_only(self):
-        alignments = align_graphs(graphs_of(CANDIDATE), {})
+        alignments = align(graphs_of(CANDIDATE), {})
         (alignment,) = alignments
         assert not alignment.pairs
         assert alignment.unmatched_left
@@ -134,13 +141,13 @@ class TestVariableMapping:
     def test_maps_candidate_names_to_student_names(self):
         student = graphs_of(STUDENT_BUGGY)
         candidate = graphs_of(CANDIDATE)
-        alignments = align_graphs(student, candidate)
+        alignments = align(student, candidate)
         mapping = variable_mapping(alignments, candidate, CANDIDATE)
         assert mapping == {"sum": "total"}
 
     def test_identity_renames_are_stripped(self):
         graphs = graphs_of(CANDIDATE)
-        alignments = align_graphs(graphs, graphs)
+        alignments = align(graphs, graphs)
         assert variable_mapping(alignments, graphs, CANDIDATE) == {}
 
 
@@ -148,7 +155,7 @@ class TestEditScript:
     def test_rewrite_for_seeded_guard_bug(self):
         student = graphs_of(STUDENT_BUGGY)
         candidate = graphs_of(CANDIDATE)
-        alignments = align_graphs(student, candidate)
+        alignments = align(student, candidate)
         mapping = variable_mapping(alignments, candidate, CANDIDATE)
         edits = edit_script(alignments, mapping)
         assert [edit.op for edit in edits] == ["rewrite"]
@@ -159,14 +166,14 @@ class TestEditScript:
     def test_insert_speaks_the_students_names(self):
         student = graphs_of(STUDENT_MISSING_PRINT)
         candidate = graphs_of(CANDIDATE)
-        alignments = align_graphs(student, candidate)
+        alignments = align(student, candidate)
         mapping = variable_mapping(alignments, candidate, CANDIDATE)
         inserts = [e for e in edit_script(alignments, mapping) if e.op == "insert"]
         assert [e.after for e in inserts] == ["System.out.println(total)"]
 
     def test_identical_programs_need_no_edits(self):
         graphs = graphs_of(CANDIDATE)
-        alignments = align_graphs(graphs, graphs)
+        alignments = align(graphs, graphs)
         assert edit_script(alignments, {}) == ()
 
     def test_ordering_rewrites_then_inserts_then_deletes(self):
@@ -175,7 +182,7 @@ class TestEditScript:
         # aligning against the buggy variant (guard differs -> rewrite,
         # print missing -> insert).
         candidate = graphs_of(CANDIDATE)
-        alignments = align_graphs(student, candidate)
+        alignments = align(student, candidate)
         mapping = variable_mapping(alignments, candidate, CANDIDATE)
         ops = [e.op for e in edit_script(alignments, mapping)]
         assert ops == sorted(
